@@ -2,14 +2,14 @@ package prodsynth
 
 // The benchmarks below regenerate every table and figure of the paper's
 // evaluation (§5) — one benchmark per artifact — plus the ablation sweeps
-// from DESIGN.md and end-to-end phase benchmarks. Quality numbers are
-// attached to each benchmark via b.ReportMetric, so a single
+// of internal/experiments and end-to-end phase benchmarks. Quality numbers
+// are attached to each benchmark via b.ReportMetric, so a single
 //
 //	go test -bench=. -benchmem
 //
 // run prints both the cost (ns/op, allocs) and the reproduced metrics
-// (precision, coverage) side by side. EXPERIMENTS.md records a reference
-// run against the paper's reported values.
+// (precision, coverage) side by side. The README's "Benchmarks" section
+// lists this and the other benchmark commands.
 
 import (
 	"context"

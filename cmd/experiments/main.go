@@ -1,5 +1,6 @@
 // Command experiments regenerates the paper's tables and figures on a
-// synthetic marketplace, plus the ablation sweeps described in DESIGN.md.
+// synthetic marketplace, plus the ablation sweeps of internal/experiments
+// (ablation.go describes what each probes).
 //
 // Usage:
 //
@@ -13,7 +14,8 @@
 //	experiments -servebench BENCH_serve.json  # HTTP serving layer: requests/sec, p50/p99
 //
 // Output is text shaped like the paper's tables and figures (coverage /
-// precision series), suitable for EXPERIMENTS.md. The profile flags
+// precision series); the README's "Benchmarks" section shows the usual
+// invocations. The profile flags
 // capture the whole run (marketplace generation, offline learning, and
 // every selected experiment) for go tool pprof.
 package main

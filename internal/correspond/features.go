@@ -1,6 +1,7 @@
 package correspond
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -14,16 +15,21 @@ import (
 // FeatureTable holds the candidate tuples and their feature vectors.
 type FeatureTable struct {
 	candidates []Candidate
-	features   [][]float64
-	index      map[Candidate]int
-	names      []string
+	// features holds every vector back to back, len(names) per candidate.
+	features []float64
+	index    map[Candidate]int
+	names    []string
 }
 
 // Candidates returns the candidate tuples in deterministic order.
 func (ft *FeatureTable) Candidates() []Candidate { return ft.candidates }
 
-// Features returns the feature vector of candidate i (order: Names).
-func (ft *FeatureTable) Features(i int) []float64 { return ft.features[i] }
+// Features returns the feature vector of candidate i (order: Names). The
+// slice is a view into the table and must not be modified.
+func (ft *FeatureTable) Features(i int) []float64 {
+	w := len(ft.names)
+	return ft.features[i*w : (i+1)*w : (i+1)*w]
+}
 
 // Len returns the number of candidates.
 func (ft *FeatureTable) Len() int { return len(ft.candidates) }
@@ -39,10 +45,8 @@ func (ft *FeatureTable) Lookup(c Candidate) (int, bool) {
 
 // Feature returns one named feature of candidate i.
 func (ft *FeatureTable) Feature(i int, name string) float64 {
-	for j, n := range ft.names {
-		if n == name {
-			return ft.features[i][j]
-		}
+	if j := slices.Index(ft.names, name); j >= 0 {
+		return ft.Features(i)[j]
 	}
 	return 0
 }
@@ -51,22 +55,12 @@ func (ft *FeatureTable) Feature(i int, name string) float64 {
 // the substrate for drop-one-feature ablations. The underlying candidate
 // slice is shared; feature vectors are copied.
 func (ft *FeatureTable) DropFeature(name string) *FeatureTable {
-	col := -1
-	for j, n := range ft.names {
-		if n == name {
-			col = j
-			break
-		}
-	}
 	out := &FeatureTable{candidates: ft.candidates, index: ft.index, names: ft.names}
-	out.features = make([][]float64, len(ft.features))
-	for i, v := range ft.features {
-		cp := make([]float64, len(v))
-		copy(cp, v)
-		if col >= 0 {
-			cp[col] = 0
+	out.features = slices.Clone(ft.features)
+	if col := slices.Index(ft.names, name); col >= 0 {
+		for i := col; i < len(out.features); i += len(ft.names) {
+			out.features[i] = 0
 		}
-		out.features[i] = cp
 	}
 	return out
 }
@@ -252,10 +246,11 @@ func ComputeFeatures(store *catalog.Store, offers *offer.Set, matches *match.Mat
 		}
 	}
 
-	// Pass 3: compute features, sharded across workers. Distributions are
-	// cached per (group, attribute) to avoid recomputation.
-	ft.features = make([][]float64, len(ft.candidates))
-	distCache := newDistributionCache()
+	// Pass 3: compute features, sharded across workers. Every bag's
+	// distribution is built once, here, and the workers only read them.
+	mcDists, cDists, mDists := distsOf(mcBags), distsOf(cBags), distsOf(mBags)
+	width := len(names)
+	ft.features = make([]float64, len(ft.candidates)*width)
 	var wg sync.WaitGroup
 	chunk := (len(ft.candidates) + opts.Workers - 1) / opts.Workers
 	if chunk == 0 {
@@ -271,22 +266,21 @@ func ComputeFeatures(store *catalog.Store, offers *offer.Set, matches *match.Mat
 			defer wg.Done()
 			for i := lo; i < hi; i++ {
 				c := ft.candidates[i]
-				v := make([]float64, len(names))
-				mc := mcBags[c.Key]
-				cb := cBags[c.Key.CategoryID]
-				mb := mBags[c.Key.Merchant]
-				v[0] = jsFeature(distCache, mc, c)
-				v[1] = jsFeature(distCache, cb, c)
-				v[2] = jsFeature(distCache, mb, c)
-				v[3] = jaccardFeature(mc, c)
-				v[4] = jaccardFeature(cb, c)
-				v[5] = jaccardFeature(mb, c)
+				v := ft.features[i*width : (i+1)*width]
+				mc := mcDists[c.Key]
+				cd := cDists[c.Key.CategoryID]
+				md := mDists[c.Key.Merchant]
+				v[0] = mc.js(c)
+				v[1] = cd.js(c)
+				v[2] = md.js(c)
+				v[3] = mc.jaccard(c)
+				v[4] = cd.jaccard(c)
+				v[5] = md.jaccard(c)
 				if opts.IncludeNameFeature {
 					a := text.NormalizeName(c.CatalogAttr)
 					b := text.NormalizeName(c.MerchantAttr)
 					v[6] = (distsim.EditSimilarity(a, b) + distsim.TrigramSimilarity(a, b)) / 2
 				}
-				ft.features[i] = v
 			}
 		}(start, end)
 	}
@@ -294,42 +288,36 @@ func ComputeFeatures(store *catalog.Store, offers *offer.Set, matches *match.Mat
 	return ft
 }
 
-// distributionCache memoizes bag→distribution conversion; bags are frozen
-// by the time features are computed, so caching is safe. Keyed by bag
-// pointer identity.
-type distributionCache struct {
-	mu sync.Mutex
-	m  map[*text.Bag]text.Distribution
+// groupDists holds one group's value distribution per attribute name. An
+// attribute the group never saw maps to the empty distribution.
+type groupDists struct {
+	offers, products map[string]text.Distribution
 }
 
-func newDistributionCache() *distributionCache {
-	return &distributionCache{m: make(map[*text.Bag]text.Distribution)}
-}
-
-func (dc *distributionCache) distribution(b *text.Bag) text.Distribution {
-	if b == nil {
-		return text.Distribution{}
+func distsOf[K comparable](groups map[K]*groupBags) map[K]*groupDists {
+	out := make(map[K]*groupDists, len(groups))
+	for k, g := range groups {
+		out[k] = &groupDists{offers: g.offers.distributions(), products: g.products.distributions()}
 	}
-	dc.mu.Lock()
-	defer dc.mu.Unlock()
-	if d, ok := dc.m[b]; ok {
-		return d
-	}
-	d := b.Distribution()
-	dc.m[b] = d
-	return d
+	return out
 }
 
-func jsFeature(dc *distributionCache, g *groupBags, c Candidate) float64 {
+func (ab attrBags) distributions() map[string]text.Distribution {
+	out := make(map[string]text.Distribution, len(ab))
+	for name, b := range ab {
+		out[name] = b.Distribution()
+	}
+	return out
+}
+
+func (g *groupDists) js(c Candidate) float64 {
 	if g == nil {
 		return 0
 	}
-	p := dc.distribution(g.products[c.CatalogAttr])
-	o := dc.distribution(g.offers[c.MerchantAttr])
-	return distsim.JSSimilarity(p, o)
+	return distsim.JSSimilarity(g.products[c.CatalogAttr], g.offers[c.MerchantAttr])
 }
 
-func jaccardFeature(g *groupBags, c Candidate) float64 {
+func (g *groupDists) jaccard(c Candidate) float64 {
 	if g == nil {
 		return 0
 	}

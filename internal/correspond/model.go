@@ -1,8 +1,10 @@
 package correspond
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 
 	"prodsynth/internal/ml"
 )
@@ -85,20 +87,18 @@ func ScoreSingleFeature(ft *FeatureTable, featureName string) ([]Scored, error) 
 }
 
 func sortScored(s []Scored) {
-	sort.SliceStable(s, func(i, j int) bool {
-		if s[i].Score != s[j].Score {
-			return s[i].Score > s[j].Score
-		}
-		a, b := s[i].Candidate, s[j].Candidate
-		if a.Key != b.Key {
-			if a.Key.Merchant != b.Key.Merchant {
-				return a.Key.Merchant < b.Key.Merchant
+	slices.SortStableFunc(s, func(a, b Scored) int {
+		if a.Score != b.Score {
+			if a.Score > b.Score {
+				return -1
 			}
-			return a.Key.CategoryID < b.Key.CategoryID
+			return 1
 		}
-		if a.CatalogAttr != b.CatalogAttr {
-			return a.CatalogAttr < b.CatalogAttr
-		}
-		return a.MerchantAttr < b.MerchantAttr
+		return cmp.Or(
+			strings.Compare(a.Key.Merchant, b.Key.Merchant),
+			strings.Compare(a.Key.CategoryID, b.Key.CategoryID),
+			strings.Compare(a.CatalogAttr, b.CatalogAttr),
+			strings.Compare(a.MerchantAttr, b.MerchantAttr),
+		)
 	})
 }

@@ -23,18 +23,38 @@ import (
 // which is the mathematically correct value.
 func KL(p, q text.Distribution) float64 {
 	var sum float64
-	for _, tok := range p.Tokens() {
-		pt := p.P(tok)
+	qc := cursor{d: q}
+	for i, tok := range p.Tokens() {
+		pt := p.Probs()[i]
 		if pt == 0 {
 			continue
 		}
-		qt := q.P(tok)
+		qt := qc.p(tok)
 		if qt == 0 {
 			return math.Inf(1)
 		}
 		sum += pt * math.Log(pt/qt)
 	}
 	return sum
+}
+
+// cursor looks up probabilities in a distribution for tokens presented in
+// ascending order, walking its sorted support once: the merge half of a
+// merge-join.
+type cursor struct {
+	d text.Distribution
+	j int
+}
+
+func (c *cursor) p(tok string) float64 {
+	toks := c.d.Tokens()
+	for c.j < len(toks) && toks[c.j] < tok {
+		c.j++
+	}
+	if c.j < len(toks) && toks[c.j] == tok {
+		return c.d.Probs()[c.j]
+	}
+	return 0
 }
 
 // JS returns the Jensen-Shannon divergence between p and q:
@@ -49,25 +69,28 @@ func JS(p, q text.Distribution) float64 {
 	if p.Support() == 0 || q.Support() == 0 {
 		return math.Ln2
 	}
-	var sum float64
-	// KL(p‖m) where m(t) = (p(t)+q(t))/2, iterating only over p's support
-	// (terms outside p's support contribute 0 to KL(p‖m)).
-	for _, tok := range p.Tokens() {
-		pt := p.P(tok)
-		mt := (pt + q.P(tok)) / 2
-		sum += 0.5 * pt * math.Log(pt/mt)
-	}
-	for _, tok := range q.Tokens() {
-		qt := q.P(tok)
-		mt := (p.P(tok) + qt) / 2
-		sum += 0.5 * qt * math.Log(qt/mt)
-	}
+	// p's terms in ascending token order, then q's: the summation order
+	// is part of the result's bits.
+	sum := halfKL(0, p, q)
+	sum = halfKL(sum, q, p)
 	// Guard against -0 and tiny negative rounding.
 	if sum < 0 {
 		return 0
 	}
 	if sum > math.Ln2 {
 		return math.Ln2
+	}
+	return sum
+}
+
+// halfKL adds ½·KL(a‖m), m(t) = (a(t)+b(t))/2, to sum term by term over
+// a's support (terms outside it contribute 0), merging b along.
+func halfKL(sum float64, a, b text.Distribution) float64 {
+	bc := cursor{d: b}
+	for i, tok := range a.Tokens() {
+		at := a.Probs()[i]
+		mt := (at + bc.p(tok)) / 2
+		sum += 0.5 * at * math.Log(at/mt)
 	}
 	return sum
 }

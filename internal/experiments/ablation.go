@@ -12,8 +12,9 @@ import (
 	"prodsynth/internal/extract"
 )
 
-// The ablations below probe the design choices DESIGN.md calls out, beyond
-// the paper's own Figures 6-7: how much each of the six features
+// The ablations below probe the pipeline's design choices (README,
+// "Pipeline (paper §3 / §4 → packages)"), beyond the paper's own
+// Figures 6-7: how much each of the six features
 // contributes, whether the §7 name-feature extension helps under automatic
 // labeling (it does not — see AblationNameFeature), what centroid fusion
 // buys over exact majority voting, how the clustering key set affects

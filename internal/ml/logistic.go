@@ -28,7 +28,8 @@ type LogisticConfig struct {
 	Epochs int
 	// LearningRate is the SGD step size (default 0.1).
 	LearningRate float64
-	// L2 is the L2 regularization strength (default 1e-4).
+	// L2 is the L2 regularization strength (default 0: no regularization,
+	// which is what the shipped classifier trains with).
 	L2 float64
 	// Seed seeds the shuffling of examples between epochs.
 	Seed int64
@@ -95,7 +96,25 @@ func TrainLogistic(examples []Example, cfg LogisticConfig) (*Logistic, error) {
 		wNeg = n / (2 * float64(neg))
 	}
 
-	model := &Logistic{Weights: make([]float64, dim)}
+	// One row-major slab, a row per example: its features, then its label,
+	// then its class weight.
+	stride := dim + 2
+	slab := make([]float64, len(examples)*stride)
+	for i, ex := range examples {
+		row := slab[i*stride : (i+1)*stride]
+		copy(row, ex.Features)
+		row[dim] = float64(ex.Label)
+		row[dim+1] = wNeg
+		if ex.Label == 1 {
+			row[dim+1] = wPos
+		}
+	}
+
+	// Each step must keep Prob's and the update's floating-point operations
+	// in this order: TestSlabSGDBitIdentical pins the weights bit for bit
+	// to a per-example loop over model.Prob.
+	weights := make([]float64, dim)
+	var bias float64
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	order := make([]int, len(examples))
 	for i := range order {
@@ -105,22 +124,22 @@ func TrainLogistic(examples []Example, cfg LogisticConfig) (*Logistic, error) {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		// Decay the step size mildly for stable convergence.
 		lr := cfg.LearningRate / (1 + 0.01*float64(epoch))
+		lrL2 := lr * cfg.L2
 		for _, idx := range order {
-			ex := examples[idx]
-			p := model.Prob(ex.Features)
-			grad := p - float64(ex.Label)
-			w := wNeg
-			if ex.Label == 1 {
-				w = wPos
+			row := slab[idx*stride : (idx+1)*stride]
+			x := row[:dim]
+			z := bias
+			for j, w := range weights {
+				z += w * x[j]
 			}
-			g := lr * w * grad
-			for j, x := range ex.Features {
-				model.Weights[j] -= g*x + lr*cfg.L2*model.Weights[j]
+			g := lr * row[dim+1] * (sigmoid(z) - row[dim])
+			for j, xj := range x {
+				weights[j] -= g*xj + lrL2*weights[j]
 			}
-			model.Bias -= g
+			bias -= g
 		}
 	}
-	return model, nil
+	return &Logistic{Weights: weights, Bias: bias}, nil
 }
 
 // Prob returns P(label=1 | features).

@@ -4,8 +4,9 @@
 // formatting quirks, offer feeds, and HTML landing pages — plus exact ground
 // truth for every quantity the paper measures.
 //
-// This is the substitute for the proprietary Bing Shopping corpus (see
-// DESIGN.md §2). The generator is fully deterministic given Config.Seed.
+// This is the substitute for the proprietary Bing Shopping corpus (see the
+// README's "Performance" section). The generator is fully deterministic
+// given Config.Seed.
 package synth
 
 // Config controls the size and noise characteristics of the generated

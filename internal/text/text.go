@@ -9,6 +9,7 @@
 package text
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"unicode"
@@ -160,65 +161,83 @@ func (b *Bag) Clone() *Bag {
 	return c
 }
 
-// Jaccard returns the Jaccard coefficient |A∩B| / |A∪B| over the distinct
-// token sets of the two bags (§3.1: "The Jaccard coefficient considers only
-// counts for the different terms"). Two empty bags have similarity 0.
+// Jaccard returns the Jaccard coefficient of the two bags' distinct token
+// sets; see Distribution.Jaccard. A nil bag has similarity 0.
 func (b *Bag) Jaccard(other *Bag) float64 {
-	if b == nil || other == nil || (len(b.counts) == 0 && len(other.counts) == 0) {
+	if b == nil || other == nil {
 		return 0
 	}
-	inter := 0
-	small, large := b, other
-	if len(small.counts) > len(large.counts) {
-		small, large = large, small
-	}
-	for tok := range small.counts {
-		if large.counts[tok] > 0 {
-			inter++
-		}
-	}
-	union := len(b.counts) + len(other.counts) - inter
-	if union == 0 {
-		return 0
-	}
-	return float64(inter) / float64(union)
+	return b.Distribution().Jaccard(other.Distribution())
 }
 
 // Distribution is a probability distribution over tokens:
-// p(t) = count(t) / total, per the paper's definition in §3.1.
+// p(t) = count(t) / total, per the paper's definition in §3.1. It holds
+// the supported tokens in ascending order and their probabilities as a
+// parallel slice, so similarity measures over two distributions are
+// merge-joins and every floating-point reduction runs in token order.
 type Distribution struct {
-	probs map[string]float64
+	tokens []string
+	probs  []float64
 }
 
-// Distribution converts the bag into a probability distribution.
-// An empty bag yields an empty (zero-support) distribution.
+// Distribution converts the bag into a probability distribution, sorting
+// its tokens once. An empty bag yields an empty (zero-support)
+// distribution.
 func (b *Bag) Distribution() Distribution {
-	d := Distribution{probs: make(map[string]float64, len(b.counts))}
 	if b.total == 0 {
-		return d
+		return Distribution{}
 	}
+	tokens := b.SortedTokens()
+	probs := make([]float64, len(tokens))
 	inv := 1 / float64(b.total)
-	for tok, n := range b.counts {
-		d.probs[tok] = float64(n) * inv
+	for i, tok := range tokens {
+		probs[i] = float64(b.counts[tok]) * inv
 	}
-	return d
+	return Distribution{tokens: tokens, probs: probs}
 }
 
 // P returns the probability of tok (0 if unsupported).
-func (d Distribution) P(tok string) float64 { return d.probs[tok] }
+func (d Distribution) P(tok string) float64 {
+	if i, ok := slices.BinarySearch(d.tokens, tok); ok {
+		return d.probs[i]
+	}
+	return 0
+}
 
 // Support returns the number of tokens with non-zero probability.
-func (d Distribution) Support() int { return len(d.probs) }
+func (d Distribution) Support() int { return len(d.tokens) }
 
-// Tokens returns the supported tokens in lexicographic order, so that
-// floating-point reductions over a distribution are deterministic.
-func (d Distribution) Tokens() []string {
-	out := make([]string, 0, len(d.probs))
-	for tok := range d.probs {
-		out = append(out, tok)
+// Tokens returns the supported tokens in ascending order. The slice is
+// shared with the distribution and must not be modified.
+func (d Distribution) Tokens() []string { return d.tokens }
+
+// Probs returns the probabilities parallel to Tokens. The slice is shared
+// with the distribution and must not be modified.
+func (d Distribution) Probs() []float64 { return d.probs }
+
+// Jaccard returns the Jaccard coefficient |A∩B| / |A∪B| over the two
+// supports, merged along their sorted token lists (§3.1: "The Jaccard
+// coefficient considers only counts for the different terms"). It is 0
+// when either support is empty.
+func (d Distribution) Jaccard(other Distribution) float64 {
+	a, b := d.tokens, other.tokens
+	if len(a) == 0 || len(b) == 0 {
+		return 0
 	}
-	sort.Strings(out)
-	return out
+	inter := 0
+	for i, j := 0, 0; i < len(a) && j < len(b); {
+		switch c := strings.Compare(a[i], b[j]); {
+		case c < 0:
+			i++
+		case c > 0:
+			j++
+		default:
+			inter++
+			i++
+			j++
+		}
+	}
+	return float64(inter) / float64(len(a)+len(b)-inter)
 }
 
 // Mass returns the total probability mass (1 for a valid non-empty

@@ -1,0 +1,59 @@
+package prodsynth
+
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"runtime"
+	"testing"
+)
+
+// TestLearnScoresPinned pins the learner's output, not just the model file
+// format: Learn on a small generated marketplace must score every candidate
+// to the same float64 bits as the commit the constants were recorded on.
+// Any change to features, training or scoring order shows up here.
+func TestLearnScoresPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("score bits are pinned on amd64; other architectures may fuse multiply-adds")
+	}
+	// Recorded on the commit before the merge-join JS and slab SGD landed;
+	// that change kept every floating-point operation in order.
+	want := map[int64]string{
+		1: "1edd4989338b3c54bcd359ce0a6b41952bffe4b564826251db39619abf7b5bd6",
+		2: "f7784f00dd055214e631eea6b1adc0a1c6244a96667a9dcf27677666a5b667db",
+	}
+	for _, seed := range []int64{1, 2} {
+		ds := GenerateMarketplace(MarketplaceConfig{
+			Seed:                seed,
+			CategoriesPerDomain: 2,
+			ProductsPerCategory: 20,
+			Merchants:           20,
+		})
+		model, err := Learn(context.Background(), ds.Catalog, ds.HistoricalOffers, MapFetcher(ds.Pages))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scored := model.ScoredCandidates()
+		if got := scoredDigest(scored); got != want[seed] {
+			t.Errorf("seed %d: ScoredCandidates digest over %d candidates = %s, want %s", seed, len(scored), got, want[seed])
+		}
+	}
+}
+
+// scoredDigest hashes each candidate's key, both attribute names and the
+// exact bits of its score, in ScoredCandidates order.
+func scoredDigest(scored []Correspondence) string {
+	h := sha256.New()
+	var bits [8]byte
+	for _, sc := range scored {
+		for _, s := range []string{sc.Key.Merchant, sc.Key.CategoryID, sc.CatalogAttr, sc.MerchantAttr} {
+			h.Write([]byte(s))
+			h.Write([]byte{0})
+		}
+		binary.LittleEndian.PutUint64(bits[:], math.Float64bits(sc.Score))
+		h.Write(bits[:])
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
