@@ -22,28 +22,12 @@
 //	result, err := sys.SynthesizeContext(ctx, incomingOffers, pages)
 //	// result.Products now holds catalog-ready product instances.
 //
-// Because a System cannot be built on the new path without a Model, "not
-// learned yet" is no longer a runtime state to guard against. Models are
-// plain values: save one with [SaveModel], warm-start a fresh process with
-// [LoadModel], and swap a re-learned model into a serving System atomically
-// with [System.Use].
+// A System built from a Model is never "not learned"; only a nil Model
+// yields ErrNotLearned. Models are plain values: save one with
+// [SaveModel], warm-start a fresh process with [LoadModel], and swap a
+// re-learned model into a serving System atomically with [System.Use].
 //
-// # Migrating from the v1 API
-//
-// The original API hid the learned state inside a mutable System. Those
-// entry points remain as thin deprecated shims (see compat.go), so v1 code
-// keeps compiling, but new code should use the Model-first forms:
-//
-//	v1 (deprecated)                     v2
-//	----------------------------------  ------------------------------------------
-//	sys := New(store, cfg)              model, err := Learn(ctx, store, hist, pages, WithConfig(cfg))
-//	err := sys.Learn(hist, pages)       sys := NewSystem(store, model, WithConfig(cfg))
-//	sys.Stats()                         sys.Model().Stats()   (or keep the *Model)
-//	sys.Correspondences()               sys.Model().Correspondences()
-//	res, err := sys.Synthesize(in, p)   res, err := sys.SynthesizeContext(ctx, in, p)
-//	sys.SynthesizeBatches(bs, p)        sys.SynthesizeBatchesContext(ctx, bs, p)
-//
-// Every v2 entry point is context-first: cancelling the context stops the
+// Every entry point is context-first: cancelling the context stops the
 // pipeline's worker pools at the next stage boundary with ctx.Err(), and
 // never leaks a goroutine.
 //
@@ -53,10 +37,10 @@
 // stages (classify → extract → match/reconcile → cluster → fuse); a
 // stage computes only when the consumer pulls, and parallel stages
 // preserve input order, so results are byte-identical for every
-// [Config.Workers] and [WithStageBuffer] setting. [System.SynthesizeStream]
-// additionally pipelines across waves — wave n+1 is prepared while wave
-// n fuses — and reports [StreamResult.Sealed] events when the cross-batch
-// cluster memory decides a cluster can no longer grow: the signal that a
+// [Config.Workers] setting. [System.SynthesizeStream] additionally
+// pipelines across waves — wave n+1 is prepared while wave n fuses — and
+// reports [StreamResult.Sealed] events when the cross-batch cluster
+// memory decides a cluster can no longer grow: the signal that a
 // provisional product is final and safe to commit downstream. See
 // README.md ("Pipeline architecture") for the stage diagram, buffer and
 // backpressure semantics, and a ClusterSealed consumer recipe.
@@ -83,11 +67,11 @@
 //   - Determinism: retries change when a fetch runs, never what it
 //     returns, so under any fault schedule that is a pure function of
 //     (URL, attempt) the synthesized output is byte-identical across
-//     worker counts and stage buffering — and identical to a no-fault
-//     run when retries recover every page. The circuit breaker is the
-//     one exception: it reacts to cross-offer ordering, so runs that
-//     trip it keep deterministic products per wave but may vary in
-//     which fetches were rejected.
+//     worker counts — and identical to a no-fault run when retries
+//     recover every page. The circuit breaker is the one exception: it
+//     reacts to cross-offer ordering, so runs that trip it keep
+//     deterministic products per wave but may vary in which fetches
+//     were rejected.
 //   - Cancellation reaches in-flight fetches: a fetcher implementing
 //     [ContextFetcher] observes pipeline cancellation mid-retry and
 //     mid-backoff instead of being abandoned.
@@ -169,12 +153,11 @@
 // spawn take a context first and library code never manufactures root
 // contexts (ctxfirst), shard critical sections stay free of channel ops,
 // I/O, and user callbacks (lockscope), Err* sentinels are wrapped with %w
-// so errors.Is matches through every decoder (errwrapcheck), the v1 shims
-// keep their Deprecated: markers and nothing else carries one (shimcheck),
-// and raw goroutines have a visible join (spawncheck). A justified
-// exception is allowlisted in the source with `//lint:allow <analyzer>
-// <reason>` — the reason is mandatory — so every exception in the tree
-// documents why it is one.
+// so errors.Is matches through every decoder (errwrapcheck), and raw
+// goroutines have a visible join (spawncheck). A justified exception is
+// allowlisted in the source with `//lint:allow <analyzer> <reason>` — the
+// reason is mandatory — so every exception in the tree documents why it
+// is one.
 //
 // The subpackages under internal implement each component of the paper's
 // Figure 4 architecture plus every substrate the evaluation needs: an HTML
@@ -197,9 +180,8 @@ import (
 )
 
 // ErrNotLearned is returned by the synthesis entry points of a System that
-// holds no Model — possible only on the deprecated v1 path, where New
-// builds a System before Learn has run. Systems built with NewSystem carry
-// their Model from construction.
+// holds no Model: one built by NewSystem with a nil Model, or reset by
+// Use(nil).
 var ErrNotLearned = errors.New("prodsynth: Learn must succeed before Synthesize")
 
 // Re-exported data model. These aliases are the supported public surface;
@@ -361,10 +343,10 @@ var ErrDuplicatePage = core.ErrDuplicatePage
 // a map literal cannot carry duplicates, but a decoded list can.
 func NewMapFetcher(docs []PageDoc) (MapFetcher, error) { return core.MapFetcherFromDocs(docs) }
 
-// MatchRegistry is the shared cache of per-category matching state (title
-// indexes and token caches). Set one on Config.Matcher.Registry to give a
-// pipeline an independent lifecycle or memory bound; leave it nil to
-// share DefaultRegistry with the rest of the process.
+// MatchRegistry is the shared cache of per-category title indexes. Set one
+// on Config.Matcher.Registry to give a pipeline an independent lifecycle
+// or memory bound; leave it nil to share DefaultRegistry with the rest of
+// the process.
 type MatchRegistry = match.Registry
 
 // MatchRegistryOptions tunes a MatchRegistry: lock sharding (Shards) and

@@ -1,6 +1,7 @@
 package prodsynth
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"runtime"
@@ -20,39 +21,50 @@ func marketplace(t *testing.T) *Marketplace {
 	})
 }
 
-func TestSystemLifecycle(t *testing.T) {
-	ds := marketplace(t)
-	sys := New(ds.Catalog, Config{})
-
-	// Before Learn, accessors are inert and Synthesize fails.
-	if sys.Stats() != (OfflineStats{}) {
-		t.Error("Stats before Learn should be zero")
-	}
-	if sys.Correspondences() != nil || sys.ScoredCandidates() != nil {
-		t.Error("correspondences before Learn should be nil")
-	}
-	if _, err := sys.Synthesize(ds.IncomingOffers, MapFetcher(ds.Pages)); !errors.Is(err, ErrNotLearned) {
-		t.Fatalf("Synthesize before Learn: err = %v, want ErrNotLearned", err)
-	}
-	if _, err := sys.SynthesizeBatches([][]Offer{ds.IncomingOffers}, MapFetcher(ds.Pages)); !errors.Is(err, ErrNotLearned) {
-		t.Fatalf("SynthesizeBatches before Learn: err = %v, want ErrNotLearned", err)
-	}
-
-	if err := sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages)); err != nil {
+// learnSystem learns a Model from ds's historical offers against store and
+// builds a System over store from it, both under opts.
+func learnSystem(t *testing.T, store *Catalog, ds *Marketplace, opts ...Option) *System {
+	t.Helper()
+	model, err := Learn(context.Background(), store, ds.HistoricalOffers, MapFetcher(ds.Pages), opts...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	st := sys.Stats()
+	return NewSystem(store, model, opts...)
+}
+
+func TestSystemLifecycle(t *testing.T) {
+	ds := marketplace(t)
+	ctx := context.Background()
+	sys := NewSystem(ds.Catalog, nil)
+
+	// Without a Model, the System serves nothing and synthesis fails.
+	if sys.Model() != nil || sys.Generation() != 0 {
+		t.Errorf("System without a Model: Model = %v, Generation = %d", sys.Model(), sys.Generation())
+	}
+	if _, err := sys.SynthesizeContext(ctx, ds.IncomingOffers, MapFetcher(ds.Pages)); !errors.Is(err, ErrNotLearned) {
+		t.Fatalf("SynthesizeContext without a Model: err = %v, want ErrNotLearned", err)
+	}
+	if _, err := sys.SynthesizeBatchesContext(ctx, [][]Offer{ds.IncomingOffers}, MapFetcher(ds.Pages)); !errors.Is(err, ErrNotLearned) {
+		t.Fatalf("SynthesizeBatchesContext without a Model: err = %v, want ErrNotLearned", err)
+	}
+
+	model, err := Learn(ctx, ds.Catalog, ds.HistoricalOffers, MapFetcher(ds.Pages))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := model.Stats()
 	if st.TrainingSize == 0 || st.Correspondences == 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	if len(sys.Correspondences()) != st.Correspondences {
+	if len(model.Correspondences()) != st.Correspondences {
 		t.Error("Correspondences length disagrees with stats")
 	}
-	if len(sys.ScoredCandidates()) != st.Candidates {
+	if len(model.ScoredCandidates()) != st.Candidates {
 		t.Error("ScoredCandidates length disagrees with stats")
 	}
 
-	res, err := sys.Synthesize(ds.IncomingOffers, MapFetcher(ds.Pages))
+	sys = NewSystem(ds.Catalog, model)
+	res, err := sys.SynthesizeContext(ctx, ds.IncomingOffers, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +78,8 @@ func TestSystemLifecycle(t *testing.T) {
 
 func TestAddToCatalog(t *testing.T) {
 	ds := marketplace(t)
-	sys := New(ds.Catalog, Config{})
-	if err := sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Synthesize(ds.IncomingOffers, MapFetcher(ds.Pages))
+	sys := learnSystem(t, ds.Catalog, ds)
+	res, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +118,7 @@ func TestAddToCatalogSeparatesCauses(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sys := New(store, Config{})
+	sys := NewSystem(store, nil)
 
 	good := Synthesized{CategoryID: "hd", Key: "MPN1", Spec: Spec{{Name: "Brand", Value: "Seagate"}}}
 	violating := Synthesized{CategoryID: "hd", Key: "MPN2", Spec: Spec{{Name: "Bogus", Value: "x"}}}
@@ -143,7 +152,7 @@ func TestAddToCatalogKeylessNoCrossCallCollision(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sys := New(store, Config{})
+	sys := NewSystem(store, nil)
 	keyless := func(brand string) []Synthesized {
 		return []Synthesized{{CategoryID: "hd", Key: "", Spec: Spec{{Name: "Brand", Value: brand}}}}
 	}
@@ -180,7 +189,7 @@ func TestAddToCatalogKeylessConcurrent(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	sys := New(store, Config{})
+	sys := NewSystem(store, nil)
 	// Even a single-CPU machine must interleave the racy window: spread
 	// the workers across OS threads, and release each round through a
 	// barrier so every round's AddToCatalog calls race on the same store
@@ -237,7 +246,7 @@ func TestAddToCatalogReportsShadowedKeys(t *testing.T) {
 		Spec: Spec{{Name: "Brand", Value: "Seagate"}, {Name: AttrMPN, Value: "MPN1"}}}); err != nil {
 		t.Fatal(err)
 	}
-	sys := New(store, Config{})
+	sys := NewSystem(store, nil)
 	shadowing := Synthesized{CategoryID: "hd", Key: "MPN1", KeyAttr: AttrMPN,
 		Spec: Spec{{Name: "Brand", Value: "Hitachi"}, {Name: AttrMPN, Value: "MPN1"}}}
 	report := sys.AddToCatalog([]Synthesized{shadowing}, "synth")
@@ -282,16 +291,13 @@ func productFingerprints(products []Synthesized) []string {
 // each other.
 func TestSynthesizeBatchesMatchesOneShot(t *testing.T) {
 	ds := marketplace(t)
-	sys := New(ds.Catalog, Config{})
-	if err := sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages)); err != nil {
-		t.Fatal(err)
-	}
-	oneShot, err := sys.Synthesize(ds.IncomingOffers, MapFetcher(ds.Pages))
+	sys := learnSystem(t, ds.Catalog, ds)
+	oneShot, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	batched, err := sys.SynthesizeBatches([][]Offer{ds.IncomingOffers}, MapFetcher(ds.Pages))
+	batched, err := sys.SynthesizeBatchesContext(context.Background(), [][]Offer{ds.IncomingOffers}, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,11 +326,11 @@ func TestSynthesizeBatchesMatchesOneShot(t *testing.T) {
 		ds.IncomingOffers[:len(ds.IncomingOffers)/2],
 		ds.IncomingOffers[len(ds.IncomingOffers)/2:],
 	}
-	b1, err := sys.SynthesizeBatches(split, MapFetcher(ds.Pages))
+	b1, err := sys.SynthesizeBatchesContext(context.Background(), split, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := sys.SynthesizeBatches(split, MapFetcher(ds.Pages))
+	b2, err := sys.SynthesizeBatchesContext(context.Background(), split, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,11 +386,8 @@ func TestSynthesizeBatchesMatchesOneShot(t *testing.T) {
 // indexes evicted), excluding them from synthesis.
 func TestSynthesizeSeesCatalogGrowth(t *testing.T) {
 	ds := marketplace(t)
-	sys := New(ds.Catalog, Config{})
-	if err := sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages)); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Synthesize(ds.IncomingOffers, MapFetcher(ds.Pages))
+	sys := learnSystem(t, ds.Catalog, ds)
+	res, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,7 +399,7 @@ func TestSynthesizeSeesCatalogGrowth(t *testing.T) {
 		t.Fatalf("nothing added: %+v", report)
 	}
 
-	again, err := sys.Synthesize(ds.IncomingOffers, MapFetcher(ds.Pages))
+	again, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,12 +16,10 @@ import (
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"prodsynth/internal/catalog"
 	"prodsynth/internal/core"
 	"prodsynth/internal/experiments"
-	"prodsynth/internal/fusion"
 	"prodsynth/internal/match"
 	"prodsynth/internal/offer"
 	"prodsynth/internal/synth"
@@ -195,19 +193,6 @@ func BenchmarkOfflineLearning(b *testing.B) {
 	b.ReportMetric(float64(len(ds.HistoricalOffers))/float64(b.Elapsed().Seconds()/float64(b.N)), "offers/s")
 }
 
-// BenchmarkRuntimePipeline measures the runtime phase alone.
-func BenchmarkRuntimePipeline(b *testing.B) {
-	env := benchEnv(b)
-	fetcher := core.MapFetcher(env.Dataset.Pages)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := core.RunRuntime(context.Background(), env.Dataset.Catalog, env.Offline, env.Dataset.IncomingOffers, fetcher, core.Config{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(env.Dataset.IncomingOffers))/float64(b.Elapsed().Seconds()/float64(b.N)), "offers/s")
-}
-
 // ---------------------------------------------------------------------------
 // Cold vs warm index benchmarks: the payoff of the shared category-index
 // registry. "Cold" hands the matcher a fresh registry every iteration —
@@ -215,13 +200,13 @@ func BenchmarkRuntimePipeline(b *testing.B) {
 // (and before the registry, every worker goroutine rebuilt it again). "Warm"
 // shares one registry across iterations — the batch/serving steady state.
 
-// expGen is the ExperimentMarketplaceConfig-scale marketplace for the
-// end-to-end warm/cold comparison.
 var (
 	expGenOnce sync.Once
 	expGenDS   *synth.Dataset
 )
 
+// experimentDataset is the ExperimentMarketplaceConfig-scale marketplace
+// the matcher benchmarks run against.
 func experimentDataset() *synth.Dataset {
 	expGenOnce.Do(func() {
 		cfg := synth.ExperimentConfig()
@@ -388,252 +373,4 @@ func BenchmarkMatcherRebuildAfterAdd(b *testing.B) {
 		m := match.Matcher{Workers: 8, Registry: match.NewRegistry()}
 		m.Run(st, set)
 	}
-}
-
-// benchBatches splits the experiment-scale incoming offers into n batches.
-func benchBatches(ds *synth.Dataset, n int) [][]Offer {
-	batches := make([][]Offer, n)
-	for i, o := range ds.IncomingOffers {
-		batches[i%n] = append(batches[i%n], o)
-	}
-	return batches
-}
-
-// benchSystem learns once over the experiment-scale marketplace and is
-// shared by the batch benchmarks.
-var (
-	benchSysOnce sync.Once
-	benchSysVal  *System
-	benchSysErr  error
-)
-
-func benchSystem(b *testing.B) *System {
-	b.Helper()
-	ds := experimentDataset()
-	benchSysOnce.Do(func() {
-		sys := New(ds.Catalog, Config{})
-		benchSysErr = sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages))
-		benchSysVal = sys
-	})
-	if benchSysErr != nil {
-		b.Fatal(benchSysErr)
-	}
-	return benchSysVal
-}
-
-// BenchmarkSynthesizeBatches runs the batch API over the experiment-scale
-// incoming stream split into 8 waves, with warm offline state and warm
-// indexes — the steady-state serving cost per offer.
-func BenchmarkSynthesizeBatches(b *testing.B) {
-	ds := experimentDataset()
-	sys := benchSystem(b)
-	batches := benchBatches(ds, 8)
-	fetcher := MapFetcher(ds.Pages)
-	if _, err := sys.SynthesizeBatches(batches, fetcher); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var res *BatchResult
-	for i := 0; i < b.N; i++ {
-		var err error
-		res, err = sys.SynthesizeBatches(batches, fetcher)
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(ds.IncomingOffers))/(b.Elapsed().Seconds()/float64(b.N)), "offers/s")
-	b.ReportMetric(float64(len(res.Total.Products)), "products")
-}
-
-// BenchmarkSynthesizeStream runs the streaming API over the same 8-wave
-// split as BenchmarkSynthesizeBatches, with cross-batch cluster memory on
-// — the continuous-feed serving cost per offer, including the per-wave
-// re-fusion of extended clusters and the final merge.
-func BenchmarkSynthesizeStream(b *testing.B) {
-	ds := experimentDataset()
-	sys := benchSystem(b)
-	batches := benchBatches(ds, 8)
-	fetcher := MapFetcher(ds.Pages)
-	b.ResetTimer()
-	var merged int
-	for i := 0; i < b.N; i++ {
-		in := make(chan []Offer)
-		out, err := sys.SynthesizeStream(context.Background(), in, fetcher, StreamOptions{Buffer: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		go func() {
-			for _, w := range batches {
-				in <- w
-			}
-			close(in)
-		}()
-		for r := range out {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-			if r.Final {
-				merged = len(r.Products)
-			}
-		}
-	}
-	b.ReportMetric(float64(len(ds.IncomingOffers))/(b.Elapsed().Seconds()/float64(b.N)), "offers/s")
-	b.ReportMetric(float64(merged), "products")
-}
-
-// delayFetcher simulates crawl latency: every Fetch sleeps before serving
-// from the in-memory map — the workload shape where wave preparation is
-// fetch-bound and cross-wave pipelining has something to overlap.
-type delayFetcher struct {
-	inner MapFetcher
-	d     time.Duration
-}
-
-func (f delayFetcher) Fetch(url string) (string, error) {
-	time.Sleep(f.d)
-	return f.inner.Fetch(url)
-}
-
-// delayStrategy simulates an expensive fusion strategy (every Fuse call
-// sleeps), so the fuse stage carries real wall time for the prepare stage
-// of the next wave to hide.
-type delayStrategy struct {
-	inner fusion.Strategy
-	d     time.Duration
-}
-
-func (s delayStrategy) Fuse(candidates []string) string {
-	time.Sleep(s.d)
-	return s.inner.Fuse(candidates)
-}
-
-// pipelinedBenchSetup learns a System over the small test marketplace
-// (fast fetcher — learning cost is not the subject) and returns the slow
-// fetcher + slow fusion configuration the pipelined benchmarks stream
-// with.
-var (
-	pipeBenchOnce sync.Once
-	pipeBenchDS   *synth.Dataset
-	pipeBenchErr  error
-)
-
-func pipelinedBenchDataset(b *testing.B) *synth.Dataset {
-	b.Helper()
-	pipeBenchOnce.Do(func() {
-		pipeBenchDS = synth.Generate(synth.Config{
-			Seed:                21,
-			CategoriesPerDomain: 2,
-			ProductsPerCategory: 20,
-			Merchants:           20,
-		})
-	})
-	if pipeBenchErr != nil {
-		b.Fatal(pipeBenchErr)
-	}
-	return pipeBenchDS
-}
-
-// benchStreamSlow runs the slow-fetcher workload once through
-// SynthesizeStream and returns the merged product count. 16 waves, so
-// the pipeline has many prepare/fuse pairs to overlap and the
-// un-overlappable ends (the first prepare, the final merge fuse) are a
-// small fraction of the run.
-func benchStreamSlow(b *testing.B, sys *System, ds *synth.Dataset, fetcher PageFetcher) int {
-	b.Helper()
-	waves := benchBatches(ds, 16)
-	in := make(chan []Offer)
-	out, err := sys.SynthesizeStream(context.Background(), in, fetcher, StreamOptions{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() {
-		for _, w := range waves {
-			in <- w
-		}
-		close(in)
-	}()
-	merged := 0
-	for r := range out {
-		if r.Err != nil {
-			b.Fatal(r.Err)
-		}
-		if r.Final {
-			merged = len(r.Products)
-		}
-	}
-	return merged
-}
-
-// BenchmarkSynthesizeStreamPipelined measures the streaming pipeline on a
-// slow-fetcher, slow-fusion workload — 16 waves where wave preparation
-// (page fetches) and cluster fusion both carry real wall time, so a
-// pipelined runtime can overlap wave n+1's prepare with wave n's fuse.
-// Compare against BenchmarkSynthesizeStreamBarrier, which runs the same
-// workload with cross-wave pipelining disabled (the pre-pipeline
-// execution model: each wave fully fuses before the next is touched).
-func BenchmarkSynthesizeStreamPipelined(b *testing.B) {
-	ds := pipelinedBenchDataset(b)
-	model, err := Learn(context.Background(), ds.Catalog, ds.HistoricalOffers, MapFetcher(ds.Pages))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := Config{Fusion: delayStrategy{inner: fusion.Centroid{}, d: 200 * time.Microsecond}}
-	sys := NewSystem(ds.Catalog, model, WithConfig(cfg))
-	fetcher := delayFetcher{inner: MapFetcher(ds.Pages), d: 5 * time.Millisecond}
-	benchStreamSlow(b, sys, ds, fetcher) // warm the match indexes
-	b.ResetTimer()
-	var merged int
-	for i := 0; i < b.N; i++ {
-		merged = benchStreamSlow(b, sys, ds, fetcher)
-	}
-	b.ReportMetric(float64(merged), "products")
-}
-
-// BenchmarkSynthesizeStreamBarrier is the pipelining baseline: the exact
-// workload of BenchmarkSynthesizeStreamPipelined with cross-wave
-// pipelining disabled (Config.StageBuffer < 0), so each wave fully fuses
-// before the next wave's prepare starts. The delta between the two is the
-// wall time pipelining hides.
-func BenchmarkSynthesizeStreamBarrier(b *testing.B) {
-	ds := pipelinedBenchDataset(b)
-	model, err := Learn(context.Background(), ds.Catalog, ds.HistoricalOffers, MapFetcher(ds.Pages))
-	if err != nil {
-		b.Fatal(err)
-	}
-	cfg := Config{Fusion: delayStrategy{inner: fusion.Centroid{}, d: 200 * time.Microsecond}}
-	sys := NewSystem(ds.Catalog, model, WithConfig(cfg), WithStageBuffer(-1))
-	fetcher := delayFetcher{inner: MapFetcher(ds.Pages), d: 5 * time.Millisecond}
-	benchStreamSlow(b, sys, ds, fetcher) // warm the match indexes
-	b.ResetTimer()
-	var merged int
-	for i := 0; i < b.N; i++ {
-		merged = benchStreamSlow(b, sys, ds, fetcher)
-	}
-	b.ReportMetric(float64(merged), "products")
-}
-
-// BenchmarkSynthesizeOneShotCold measures one runtime pass per iteration
-// with a truly cold matcher registry: the offline state is learned once
-// (untimed, in its own registry), and each timed run gets a fresh registry
-// so every category index is rebuilt — the cold half of the cold-vs-warm
-// end-to-end comparison. Learn must not share the per-iteration registry,
-// or it would warm the indexes the timed region is supposed to build.
-func BenchmarkSynthesizeOneShotCold(b *testing.B) {
-	ds := experimentDataset()
-	fetcher := core.MapFetcher(ds.Pages)
-	learnCfg := core.Config{}
-	learnCfg.Matcher.Registry = match.NewRegistry()
-	offline, err := core.RunOffline(context.Background(), ds.Catalog, ds.HistoricalOffers, fetcher, learnCfg)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		cfg := core.Config{}
-		cfg.Matcher.Registry = match.NewRegistry()
-		if _, err := core.RunRuntime(context.Background(), ds.Catalog, offline, ds.IncomingOffers, fetcher, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(ds.IncomingOffers))/(b.Elapsed().Seconds()/float64(b.N)), "offers/s")
 }

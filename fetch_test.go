@@ -73,10 +73,10 @@ func TestFetchPolicyRecoversByteIdentical(t *testing.T) {
 }
 
 // TestFetchPolicyStreamBatchEquivalence re-runs the stream≡batch
-// equivalence matrix with the fault-injecting fetcher installed: for
-// every StageBuffer × Workers combination the streamed merged view must
-// stay byte-identical to the no-fault one-shot output, and the final
-// result's aggregated FetchReport must match the schedule exactly.
+// equivalence matrix with the fault-injecting fetcher installed: for every
+// Workers value the streamed merged view must stay byte-identical to the
+// no-fault one-shot output, and the final result's aggregated FetchReport
+// must match the schedule exactly.
 func TestFetchPolicyStreamBatchEquivalence(t *testing.T) {
 	ds := marketplace(t)
 	model, err := Learn(context.Background(), ds.Catalog, ds.HistoricalOffers, MapFetcher(ds.Pages))
@@ -92,39 +92,37 @@ func TestFetchPolicyStreamBatchEquivalence(t *testing.T) {
 	n := len(ds.IncomingOffers)
 	wantCounts := FetchCounters{Attempted: n, Attempts: 3 * n, Retried: n, Recovered: n}
 
-	for _, sb := range []int{-1, 0, 1, 4} {
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("stagebuffer=%d/workers=%d", sb, workers)
-			t.Run(name, func(t *testing.T) {
-				cfg := Config{Workers: workers, StageBuffer: sb, Fetch: recoveryPolicy()}
-				sys := NewSystem(ds.Catalog, model, WithConfig(cfg))
-				// A fresh Faulty per cell: FailFirst counts attempts per
-				// URL over the fetcher's lifetime.
-				faulty := NewFaultyFetcher(MapFetcher(ds.Pages), FailFirstFaults(2), NewFakeFetchClock())
-				perWave, final := runStream(t, sys, contiguousWaves(ds.IncomingOffers, 4), faulty, StreamOptions{})
+	for _, workers := range []int{1, 4} {
+		name := fmt.Sprintf("workers=%d", workers)
+		t.Run(name, func(t *testing.T) {
+			cfg := Config{Workers: workers, Fetch: recoveryPolicy()}
+			sys := NewSystem(ds.Catalog, model, WithConfig(cfg))
+			// A fresh Faulty per cell: FailFirst counts attempts per
+			// URL over the fetcher's lifetime.
+			faulty := NewFaultyFetcher(MapFetcher(ds.Pages), FailFirstFaults(2), NewFakeFetchClock())
+			perWave, final := runStream(t, sys, contiguousWaves(ds.IncomingOffers, 4), faulty, StreamOptions{})
 
-				for _, r := range perWave {
-					if r.Err != nil {
-						t.Fatalf("wave %d failed: %v", r.Wave, r.Err)
-					}
-					if r.Fetch.Degraded() {
-						t.Errorf("wave %d degraded: %v", r.Wave, r.Fetch.FeedOnly)
-					}
+			for _, r := range perWave {
+				if r.Err != nil {
+					t.Fatalf("wave %d failed: %v", r.Wave, r.Err)
 				}
-				got := productFingerprints(final.Products)
-				if len(got) != len(want) {
-					t.Fatalf("%d merged products vs %d one-shot", len(got), len(want))
+				if r.Fetch.Degraded() {
+					t.Errorf("wave %d degraded: %v", r.Wave, r.Fetch.FeedOnly)
 				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Errorf("product %d differs:\n  streamed: %s\n  one-shot: %s", i, got[i], want[i])
-					}
+			}
+			got := productFingerprints(final.Products)
+			if len(got) != len(want) {
+				t.Fatalf("%d merged products vs %d one-shot", len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Errorf("product %d differs:\n  streamed: %s\n  one-shot: %s", i, got[i], want[i])
 				}
-				if final.Fetch.Counters != wantCounts {
-					t.Errorf("final FetchReport = %+v, want %+v", final.Fetch.Counters, wantCounts)
-				}
-			})
-		}
+			}
+			if final.Fetch.Counters != wantCounts {
+				t.Errorf("final FetchReport = %+v, want %+v", final.Fetch.Counters, wantCounts)
+			}
+		})
 	}
 }
 
@@ -352,11 +350,11 @@ func hostOfURL(url string) string {
 // TestFetchReportWaveMergeMath is the stream accounting property test:
 // the final result's FetchReport must be exactly the sum of the per-wave
 // reports — every counter adds up and FeedOnly is the per-wave union —
-// across the full StageBuffer × Workers pipelining matrix, under both a
-// recovering schedule (every URL fails twice, retries save everything)
-// and an exhausting one (every URL fails three times, every operation
-// gives up and degrades to feed-only). If a pipelined interleaving ever
-// double-counted or dropped a wave's share, the sums would disagree.
+// across worker counts, under both a recovering schedule (every URL fails
+// twice, retries save everything) and an exhausting one (every URL fails
+// three times, every operation gives up and degrades to feed-only). If a
+// pipelined interleaving ever double-counted or dropped a wave's share,
+// the sums would disagree.
 func TestFetchReportWaveMergeMath(t *testing.T) {
 	ds := marketplace(t)
 	model, err := Learn(context.Background(), ds.Catalog, ds.HistoricalOffers, MapFetcher(ds.Pages))
@@ -371,61 +369,59 @@ func TestFetchReportWaveMergeMath(t *testing.T) {
 		{"exhausts", FailFirstFaults(3)}, // 3 failures = 3 attempts: all give up
 	}
 	for _, sched := range schedules {
-		for _, sb := range []int{-1, 0, 1, 4} {
-			for _, workers := range []int{1, 4} {
-				name := fmt.Sprintf("%s/stagebuffer=%d/workers=%d", sched.name, sb, workers)
-				t.Run(name, func(t *testing.T) {
-					cfg := Config{Workers: workers, StageBuffer: sb, Fetch: recoveryPolicy()}
-					sys := NewSystem(ds.Catalog, model, WithConfig(cfg))
-					faulty := NewFaultyFetcher(MapFetcher(ds.Pages), sched.faults, NewFakeFetchClock())
-					perWave, final := runStream(t, sys, contiguousWaves(ds.IncomingOffers, 4), faulty, StreamOptions{})
+		for _, workers := range []int{1, 4} {
+			name := fmt.Sprintf("%s/workers=%d", sched.name, workers)
+			t.Run(name, func(t *testing.T) {
+				cfg := Config{Workers: workers, Fetch: recoveryPolicy()}
+				sys := NewSystem(ds.Catalog, model, WithConfig(cfg))
+				faulty := NewFaultyFetcher(MapFetcher(ds.Pages), sched.faults, NewFakeFetchClock())
+				perWave, final := runStream(t, sys, contiguousWaves(ds.IncomingOffers, 4), faulty, StreamOptions{})
 
-					var sum FetchCounters
-					var feedOnly []string
-					for _, r := range perWave {
-						if r.Err != nil {
-							t.Fatalf("wave %d failed: %v", r.Wave, r.Err)
-						}
-						sum.Attempted += r.Fetch.Attempted
-						sum.Attempts += r.Fetch.Attempts
-						sum.Retried += r.Fetch.Retried
-						sum.Recovered += r.Fetch.Recovered
-						sum.GaveUp += r.Fetch.GaveUp
-						sum.BreakerRejected += r.Fetch.BreakerRejected
-						feedOnly = append(feedOnly, r.Fetch.FeedOnly...)
+				var sum FetchCounters
+				var feedOnly []string
+				for _, r := range perWave {
+					if r.Err != nil {
+						t.Fatalf("wave %d failed: %v", r.Wave, r.Err)
 					}
-					if final.Fetch.Counters != sum {
-						t.Errorf("final counters = %+v, per-wave sum = %+v", final.Fetch.Counters, sum)
+					sum.Attempted += r.Fetch.Attempted
+					sum.Attempts += r.Fetch.Attempts
+					sum.Retried += r.Fetch.Retried
+					sum.Recovered += r.Fetch.Recovered
+					sum.GaveUp += r.Fetch.GaveUp
+					sum.BreakerRejected += r.Fetch.BreakerRejected
+					feedOnly = append(feedOnly, r.Fetch.FeedOnly...)
+				}
+				if final.Fetch.Counters != sum {
+					t.Errorf("final counters = %+v, per-wave sum = %+v", final.Fetch.Counters, sum)
+				}
+				gotFeed := append([]string(nil), final.Fetch.FeedOnly...)
+				sort.Strings(gotFeed)
+				sort.Strings(feedOnly)
+				if len(gotFeed) != len(feedOnly) {
+					t.Fatalf("final FeedOnly has %d offers, per-wave union %d", len(gotFeed), len(feedOnly))
+				}
+				for i := range feedOnly {
+					if gotFeed[i] != feedOnly[i] {
+						t.Fatalf("FeedOnly diverges at %d: final %q vs union %q", i, gotFeed[i], feedOnly[i])
 					}
-					gotFeed := append([]string(nil), final.Fetch.FeedOnly...)
-					sort.Strings(gotFeed)
-					sort.Strings(feedOnly)
-					if len(gotFeed) != len(feedOnly) {
-						t.Fatalf("final FeedOnly has %d offers, per-wave union %d", len(gotFeed), len(feedOnly))
-					}
-					for i := range feedOnly {
-						if gotFeed[i] != feedOnly[i] {
-							t.Fatalf("FeedOnly diverges at %d: final %q vs union %q", i, gotFeed[i], feedOnly[i])
-						}
-					}
+				}
 
-					// The schedule fixes the totals too: every operation
-					// either recovered (2 failures) or gave up (3).
-					n := len(ds.IncomingOffers)
-					want := FetchCounters{Attempted: n, Attempts: 3 * n, Retried: n}
-					if sched.name == "recovers" {
-						want.Recovered = n
-					} else {
-						want.GaveUp = n
-					}
-					if sum != want {
-						t.Errorf("schedule accounting: sum = %+v, want %+v", sum, want)
-					}
-					if wantFeed := sched.name == "exhausts"; (len(feedOnly) == n) != wantFeed {
-						t.Errorf("FeedOnly carries %d offers, degraded run = %v", len(feedOnly), wantFeed)
-					}
-				})
-			}
+				// The schedule fixes the totals too: every operation
+				// either recovered (2 failures) or gave up (3).
+				n := len(ds.IncomingOffers)
+				want := FetchCounters{Attempted: n, Attempts: 3 * n, Retried: n}
+				if sched.name == "recovers" {
+					want.Recovered = n
+				} else {
+					want.GaveUp = n
+				}
+				if sum != want {
+					t.Errorf("schedule accounting: sum = %+v, want %+v", sum, want)
+				}
+				if wantFeed := sched.name == "exhausts"; (len(feedOnly) == n) != wantFeed {
+					t.Errorf("FeedOnly carries %d offers, degraded run = %v", len(feedOnly), wantFeed)
+				}
+			})
 		}
 	}
 }

@@ -163,17 +163,6 @@ type Config struct {
 	// one knob that can make lenient-mode degradation timing-dependent
 	// (see fetch.Policy's determinism note).
 	Fetch fetch.Policy
-	// StageBuffer is the bounded buffer depth between the streaming
-	// pipeline's wave-level stages (prepare → fuse). 0, the default, is
-	// an unbuffered handoff: wave n+1's prepare still overlaps wave n's
-	// fuse, but prepare never runs more than one wave ahead. Positive
-	// depths let prepare run that many additional waves ahead (more
-	// overlap, more prepared waves held in memory). A negative value
-	// disables cross-wave pipelining entirely — each wave fully fuses
-	// before the next wave's prepare starts (the pre-pipelining barrier
-	// execution; useful as a baseline and for strict memory bounds).
-	// Output is byte-identical for every value.
-	StageBuffer int
 	// Spill, when non-nil, gives each streaming run's cluster memory an
 	// out-of-core backing store: clusters the LRU/idle bounds would seal
 	// are parked in a store the factory opens (one per stream) and

@@ -36,8 +36,8 @@ var ioFuncs = map[string]map[string]bool{
 // goroutines, block on channels, or perform I/O take context.Context as
 // their first parameter, and library packages never manufacture contexts
 // with context.Background()/context.TODO() — only cmd/, examples/, and
-// tests may. Deliberate detached contexts (v1 shims, drain/reload
-// lifecycles) carry lint:allow annotations.
+// tests may. Deliberate detached contexts (drain/reload lifecycles)
+// carry lint:allow annotations.
 var CtxFirst = &Analyzer{
 	Name: "ctxfirst",
 	Doc:  "context-first exported entry points; no context.Background/TODO in library packages",

@@ -1,9 +1,8 @@
 // Package lint is prodsynth's repo-specific static analyzer suite: the
-// invariants nine PRs of growth accumulated — injectable clocks,
-// context-first entry points, I/O-free shard critical sections, %w-wrapped
-// sentinels, compat-shim deprecation markers, and join-guarded goroutines
-// — encoded as machine-checked analysis passes instead of prose and CI
-// greps.
+// codebase's invariants — injectable clocks, context-first entry points,
+// I/O-free shard critical sections, %w-wrapped sentinels, and
+// join-guarded goroutines — encoded as machine-checked analysis passes
+// instead of prose and CI greps.
 //
 // The framework deliberately mirrors the golang.org/x/tools/go/analysis
 // shape (Analyzer, Pass, Reportf) but is self-contained on the standard
@@ -227,7 +226,6 @@ func All() []*Analyzer {
 		CtxFirst,
 		LockScope,
 		ErrWrapCheck,
-		ShimCheck,
 		SpawnCheck,
 	}
 }

@@ -7,8 +7,8 @@
 //  1. Universal identifiers: an offer whose spec carries a UPC (or MPN)
 //     equal to a catalog product's key matches that product exactly.
 //  2. Title matching: a fallback that compares the offer title with the
-//     product's identifying attributes using token overlap; only matches
-//     above a confidence threshold are kept.
+//     product's identifying attributes using IDF-weighted token
+//     containment; only matches above a confidence threshold are kept.
 //
 // The output is a MatchSet, the input to feature computation.
 package match
@@ -19,7 +19,6 @@ import (
 
 	"prodsynth/internal/catalog"
 	"prodsynth/internal/offer"
-	"prodsynth/internal/text"
 )
 
 // Match associates one offer with one catalog product.
@@ -90,22 +89,17 @@ func (ms *MatchSet) OffersFor(productID string) []string {
 
 // Matcher finds historical offer-to-product matches.
 //
-// Per-category matching state (the inverted TitleIndex, or the token cache
-// of the linear scan) comes from a shared Registry: it is built exactly
-// once per category regardless of Workers, stays warm across Run calls
-// against the same catalog, and follows catalog growth with incremental
-// posting-list updates instead of rebuilds.
+// Per-category matching state (the inverted TitleIndex) comes from a
+// shared Registry: it is built exactly once per category regardless of
+// Workers, stays warm across Run calls against the same catalog, and
+// follows catalog growth with incremental posting-list updates instead of
+// rebuilds.
 type Matcher struct {
 	// TitleThreshold is the minimum token-overlap score for a title match
 	// (default 0.6). Identifier matches are always accepted.
 	TitleThreshold float64
 	// DisableTitleMatching restricts matching to universal identifiers.
 	DisableTitleMatching bool
-	// LinearScan replaces the default inverted-index title matching
-	// (IDF-weighted containment, the scalable path) with an O(|products|)
-	// scan per offer using unweighted containment. It exists for ablations
-	// and tiny catalogs where index construction is not worth it.
-	LinearScan bool
 	// Workers is the parallelism for title matching (default: 4).
 	Workers int
 	// Registry caches per-category matching state across runs. Nil means
@@ -153,7 +147,7 @@ func (m Matcher) Run(store *catalog.Store, offers *offer.Set) *MatchSet {
 			// Resolve registry entries once per category per goroutine:
 			// the shared registry takes a shard mutex per lookup, which
 			// is fine per category but not per offer.
-			local := make(categoryCache)
+			local := make(map[string]*TitleIndex)
 			for i := lo; i < hi; i++ {
 				o := all[i]
 				if mt, ok := m.matchOne(store, o, local, threshold); ok {
@@ -174,22 +168,7 @@ func (m Matcher) Run(store *catalog.Store, offers *offer.Set) *MatchSet {
 	return NewMatchSet(kept)
 }
 
-type productTokens struct {
-	id     string
-	tokens map[string]bool
-}
-
-// categoryState is one category's matching state resolved from the shared
-// registry; categoryCache holds resolutions local to one goroutine so the
-// registry mutex is taken once per category, not once per offer.
-type categoryState struct {
-	index  *TitleIndex
-	linear []productTokens
-}
-
-type categoryCache map[string]*categoryState
-
-func (m Matcher) matchOne(store *catalog.Store, o offer.Offer, local categoryCache, threshold float64) (Match, bool) {
+func (m Matcher) matchOne(store *catalog.Store, o offer.Offer, local map[string]*TitleIndex, threshold float64) (Match, bool) {
 	// 1. Identifier match: UPC first, then MPN, looked up in the key index.
 	for _, keyAttr := range []string{catalog.AttrUPC, catalog.AttrMPN} {
 		if v, ok := o.Spec.Get(keyAttr); ok && v != "" {
@@ -202,55 +181,16 @@ func (m Matcher) matchOne(store *catalog.Store, o offer.Offer, local categoryCac
 		return Match{}, false
 	}
 
-	st := local[o.CategoryID]
-	if st == nil {
-		st = &categoryState{}
-		if m.LinearScan {
-			st.linear = m.registry().linearTokens(store, o.CategoryID)
-		} else {
-			st.index = m.registry().TitleIndex(store, o.CategoryID)
-		}
-		local[o.CategoryID] = st
+	// 2. Title match: IDF-weighted containment via the shared inverted
+	// index.
+	idx := local[o.CategoryID]
+	if idx == nil {
+		idx = m.registry().TitleIndex(store, o.CategoryID)
+		local[o.CategoryID] = idx
 	}
-
-	// 2a. Indexed title match (default): IDF-weighted containment via the
-	// shared inverted index.
-	if !m.LinearScan {
-		pid, score := st.index.Match(o.Title)
-		if pid != "" && score >= threshold {
-			return Match{OfferID: o.ID, ProductID: pid, Source: "title", Score: score}, true
-		}
-		return Match{}, false
-	}
-
-	// 2b. Linear-scan title match within the category.
-	prods := st.linear
-	titleToks := text.DefaultTokenizer.Tokenize(o.Title)
-	if len(titleToks) == 0 {
-		return Match{}, false
-	}
-	bestScore := 0.0
-	bestID := ""
-	for _, p := range prods {
-		if len(p.tokens) == 0 {
-			continue
-		}
-		overlap := 0
-		for _, t := range titleToks {
-			if p.tokens[t] {
-				overlap++
-			}
-		}
-		// Containment of the title in the product token set: titles are
-		// terse, so containment beats Jaccard here.
-		score := float64(overlap) / float64(len(titleToks))
-		if score > bestScore {
-			bestScore = score
-			bestID = p.id
-		}
-	}
-	if bestScore >= threshold && bestID != "" {
-		return Match{OfferID: o.ID, ProductID: bestID, Source: "title", Score: bestScore}, true
+	pid, score := idx.Match(o.Title)
+	if pid != "" && score >= threshold {
+		return Match{OfferID: o.ID, ProductID: pid, Source: "title", Score: score}, true
 	}
 	return Match{}, false
 }

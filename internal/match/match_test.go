@@ -249,13 +249,10 @@ func TestIndexedMatcherAgreesOnClearCases(t *testing.T) {
 		{ID: "o2", Merchant: "m", CategoryID: "cam", Title: "Canon EOS 40D EOS40D"},
 		{ID: "o3", Merchant: "m", CategoryID: "hd", Title: "nothing relevant whatsoever xyz"},
 	})
-	linear := Matcher{LinearScan: true}.Run(st, offers)
 	indexed := Matcher{}.Run(st, offers)
-	for _, oid := range []string{"o1", "o2"} {
-		lm, lok := linear.ProductFor(oid)
-		im, iok := indexed.ProductFor(oid)
-		if !lok || !iok || lm.ProductID != im.ProductID {
-			t.Errorf("%s: linear %+v(%v) vs indexed %+v(%v)", oid, lm, lok, im, iok)
+	for oid, want := range map[string]string{"o1": "p-barracuda", "o2": "p-eos"} {
+		if m, ok := indexed.ProductFor(oid); !ok || m.ProductID != want || m.Source != "title" {
+			t.Errorf("%s: got %+v(%v), want title match to %s", oid, m, ok, want)
 		}
 	}
 	if _, ok := indexed.ProductFor("o3"); ok {

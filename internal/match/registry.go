@@ -6,18 +6,17 @@ import (
 	"sync/atomic"
 
 	"prodsynth/internal/catalog"
-	"prodsynth/internal/text"
 )
 
 // Registry is a shared, process-wide cache of per-category matching state:
-// the inverted TitleIndex and the linear-scan token cache. Before it
-// existed, every worker goroutine of every Matcher.Run call rebuilt both
-// from scratch — W workers × C categories redundant builds per run, and
-// the whole cost again on the next run. The registry builds each category
-// exactly once (sync.Once per entry) no matter how many goroutines race
-// for it, and keeps the result warm across Matcher.Run calls, so repeated
-// matching against the same catalog — the batch-synthesis and serving
-// workloads — pays the build cost only on first touch.
+// the inverted TitleIndex. Before it existed, every worker goroutine of
+// every Matcher.Run call rebuilt it from scratch — W workers × C
+// categories redundant builds per run, and the whole cost again on the
+// next run. The registry builds each category exactly once (sync.Once per
+// entry) no matter how many goroutines race for it, and keeps the result
+// warm across Matcher.Run calls, so repeated matching against the same
+// catalog — the batch-synthesis and serving workloads — pays the build
+// cost only on first touch.
 //
 // Entries are validated against catalog.Store.CategoryVersion on every
 // acquisition: when Store.AddProduct bumps a category's version (as
@@ -71,9 +70,8 @@ type registryKey struct {
 	category string
 }
 
-// registryEntry caches one category's matching state at one store version.
-// The two representations build lazily and independently: a purely indexed
-// workload never pays for the linear token cache and vice versa.
+// registryEntry caches one category's matching state at one store version;
+// the index builds lazily on first touch.
 type registryEntry struct {
 	version uint64        // store version observed when the entry was created
 	elem    *list.Element // LRU position in the owning shard
@@ -88,9 +86,6 @@ type registryEntry struct {
 	idxDone    atomic.Bool   // set after index, publishes it to entry()
 	idxVersion atomic.Uint64 // catalog version the built index covers
 	index      *TitleIndex
-
-	linOnce sync.Once
-	linear  []productTokens
 }
 
 // DefaultRegistry is the process-wide registry used by Matcher when no
@@ -206,30 +201,10 @@ func (r *Registry) TitleIndex(store *catalog.Store, category string) *TitleIndex
 	return e.index
 }
 
-// linearTokens returns the category's linear-scan token cache, building it
-// on first use. The linear path is the ablation/tiny-catalog fallback, so
-// it always rebuilds cold; only the indexed path applies deltas.
-func (r *Registry) linearTokens(store *catalog.Store, category string) []productTokens {
-	e := r.entry(store, category)
-	e.linOnce.Do(func() {
-		for _, p := range store.ProductsInCategory(category) {
-			toks := make(map[string]bool)
-			for _, av := range p.Spec {
-				for _, t := range text.DefaultTokenizer.Tokenize(av.Value) {
-					toks[t] = true
-				}
-			}
-			e.linear = append(e.linear, productTokens{id: p.ID, tokens: toks})
-		}
-		r.builds.Add(1)
-	})
-	return e.linear
-}
-
-// Builds reports how many cold category builds (index or token cache) the
-// registry has performed — the regression surface for "build once per
-// category regardless of worker count". Incremental index updates do not
-// count; see Deltas.
+// Builds reports how many cold category index builds the registry has
+// performed — the regression surface for "build once per category
+// regardless of worker count". Incremental index updates do not count;
+// see Deltas.
 func (r *Registry) Builds() int64 { return r.builds.Load() }
 
 // Deltas reports how many incremental index updates (posting-list deltas

@@ -52,20 +52,6 @@ func TestRegistryBuildsOncePerCategory(t *testing.T) {
 	}
 }
 
-// TestRegistryBuildsOnceLinearPath covers the same guarantee for the
-// linear-scan token cache.
-func TestRegistryBuildsOnceLinearPath(t *testing.T) {
-	st := testStore(t)
-	reg := NewRegistry()
-	m := Matcher{Workers: 8, Registry: reg, LinearScan: true}
-	set := manyOffers(400, "hd", "Western Digital Raptor X")
-	m.Run(st, set)
-	m.Run(st, set)
-	if got := reg.Builds(); got != 1 {
-		t.Errorf("Builds = %d, want 1", got)
-	}
-}
-
 // TestRegistryConcurrentAcquire races many goroutines at a cold registry:
 // all must observe the same index, built once.
 func TestRegistryConcurrentAcquire(t *testing.T) {

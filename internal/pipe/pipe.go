@@ -30,7 +30,6 @@ package pipe
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 )
 
 // Source is a pull-based iterator. Next returns the next element with
@@ -386,60 +385,4 @@ func Collect[T any](ctx context.Context, src Source[T]) ([]T, error) {
 		}
 		out = append(out, item)
 	}
-}
-
-// CollectInto drains the source into the given slice (append), reusing
-// its capacity. On error the accumulated slice is discarded.
-func CollectInto[T any](ctx context.Context, src Source[T], into []T) ([]T, error) {
-	out := into[:0]
-	for {
-		item, ok, err := src.Next(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return out, nil
-		}
-		out = append(out, item)
-	}
-}
-
-// Gauge tracks a current value and its high-water mark, atomically — the
-// instrumentation hook for "peak in-flight offers" style measurements.
-// The zero Gauge is ready to use; a nil *Gauge is a no-op on every
-// method, so call sites need no guards.
-type Gauge struct {
-	cur  atomic.Int64
-	peak atomic.Int64
-}
-
-// Add moves the current value by n (negative to release) and folds the
-// new value into the peak.
-func (g *Gauge) Add(n int) {
-	if g == nil {
-		return
-	}
-	cur := g.cur.Add(int64(n))
-	for {
-		p := g.peak.Load()
-		if cur <= p || g.peak.CompareAndSwap(p, cur) {
-			return
-		}
-	}
-}
-
-// Current returns the current value.
-func (g *Gauge) Current() int {
-	if g == nil {
-		return 0
-	}
-	return int(g.cur.Load())
-}
-
-// Peak returns the high-water mark.
-func (g *Gauge) Peak() int {
-	if g == nil {
-		return 0
-	}
-	return int(g.peak.Load())
 }

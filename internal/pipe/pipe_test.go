@@ -264,21 +264,6 @@ func TestFromChan(t *testing.T) {
 	}
 }
 
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Add(3)
-	g.Add(2)
-	g.Add(-4)
-	if g.Current() != 1 || g.Peak() != 5 {
-		t.Fatalf("cur=%d peak=%d", g.Current(), g.Peak())
-	}
-	var nilGauge *Gauge
-	nilGauge.Add(10) // must not panic
-	if nilGauge.Current() != 0 || nilGauge.Peak() != 0 {
-		t.Fatal("nil gauge not a no-op")
-	}
-}
-
 // waitGoroutines waits for the goroutine count to drain back to (at most)
 // the baseline, tolerating runtime background noise.
 func waitGoroutines(t *testing.T, baseline int) {

@@ -29,14 +29,9 @@ type Options struct {
 	// and every wave's products are as final as they will ever be.
 	DisableMemory bool
 	// Buffer is the output channel's capacity. 0 (unbuffered) applies
-	// consumer backpressure on the fuse stage; note that with cross-wave
-	// pipelining (core.Config.StageBuffer >= 0) the prepare stage still
-	// works ahead of the consumer by up to 1+StageBuffer waves.
+	// consumer backpressure on the fuse stage; the prepare stage still
+	// works one wave ahead of fuse.
 	Buffer int
-	// InFlight, when non-nil, gauges the number of offers inside the
-	// pipeline (pulled into prepare but not yet fused) — its Peak reports
-	// the memory-relevant high-water mark of cross-wave pipelining.
-	InFlight *pipe.Gauge
 	// Clock supplies the time source for the per-wave timings results
 	// report (PrepareElapsed, FuseElapsed, Elapsed). nil means the wall
 	// clock; inject a fake so timing-sensitive tests are deterministic.
@@ -146,15 +141,14 @@ type preparedWave struct {
 
 // Run starts the streaming pipeline: a goroutine that consumes offer
 // waves from waves and emits one Result per wave, in input order, on the
-// returned channel. The pipeline is two pull-based stages with a bounded
-// buffer between them:
+// returned channel. The pipeline is two pull-based stages with a one-wave
+// hand-off between them:
 //
 //	waves ── prepare (classify·extract·match·reconcile)
-//	      ──[pipe.Buffer(cfg.StageBuffer)]── fuse (memory·fusion·seals) ── out
+//	      ──[pipe.Buffer(0)]── fuse (memory·fusion·seals) ── out
 //
 // so wave n+1's prepare overlaps wave n's fuse while emission order stays
-// input order (cfg.StageBuffer < 0 disables the overlap — barrier
-// execution). When waves closes, one closing Result (Final=true) carries
+// input order. When waves closes, one closing Result (Final=true) carries
 // the merged stream view, aggregate counters, and the SealClose events;
 // then the channel closes. When ctx is cancelled the pipeline stops —
 // whatever stage each in-flight wave is in — and closes the channel
@@ -196,7 +190,6 @@ func Run(ctx context.Context, store *catalog.Store, offline *core.OfflineResult,
 		nextWave := 0
 		prepared := pipe.Map(func(ctx context.Context, batch []offer.Offer) (preparedWave, error) {
 			start := clk.Now()
-			opts.InFlight.Add(len(batch))
 			pw := preparedWave{wave: nextWave, offers: len(batch)}
 			nextWave++
 			prep, err := core.PrepareIncoming(ctx, store, offline, batch, pages, cfg)
@@ -211,13 +204,9 @@ func Run(ctx context.Context, store *catalog.Store, offline *core.OfflineResult,
 			pw.elapsed = clk.Now().Sub(start)
 			return pw, nil
 		})(pipe.FromChan(waves))
-		if cfg.StageBuffer >= 0 {
-			// The stage boundary: prepare moves to its own goroutine and
-			// works ahead of fuse by up to 1+StageBuffer waves. A negative
-			// StageBuffer skips the boundary, so fuse's pull drives prepare
-			// inline — the pre-pipelining barrier execution.
-			prepared = pipe.Buffer[preparedWave](cfg.StageBuffer)(prepared)
-		}
+		// The stage boundary: prepare moves to its own goroutine and works
+		// at most one wave ahead of fuse.
+		prepared = pipe.Buffer[preparedWave](0)(prepared)
 
 		var total Result
 		for {
@@ -241,7 +230,6 @@ func Run(ctx context.Context, store *catalog.Store, offline *core.OfflineResult,
 				return
 			}
 			r := fuseWave(ctx, store, pw, cfg, mem, clk)
-			opts.InFlight.Add(-pw.offers)
 			if r.Err == nil {
 				accumulate(&total, r)
 			}

@@ -58,7 +58,7 @@ func (m *Model) ScoredCandidates() []Correspondence {
 type Option func(*Config)
 
 // WithConfig replaces the whole Config — the bridge for code that already
-// assembles a Config value (including everything ported from the v1 API).
+// assembles a Config value.
 func WithConfig(cfg Config) Option { return func(c *Config) { *c = cfg } }
 
 // WithWorkers bounds the pipeline's worker pools. Output is identical for
@@ -80,16 +80,6 @@ func WithStrictPages(strict bool) Option { return func(c *Config) { c.StrictPage
 // stream), so breaker state and counters span a whole batch or wave
 // sequence; see Config.Fetch and DefaultFetchPolicy.
 func WithFetchPolicy(p FetchPolicy) Option { return func(c *Config) { c.Fetch = p } }
-
-// WithStageBuffer sets the bounded buffer depth between the streaming
-// pipeline's wave-level stages (prepare → fuse); see Config.StageBuffer.
-// 0, the default, is an unbuffered handoff: wave n+1's prepare still
-// overlaps wave n's fuse, but never runs more than one wave ahead.
-// Positive depths let prepare run that many additional waves ahead; a
-// negative value disables cross-wave pipelining entirely (barrier
-// execution, each wave fully fused before the next is prepared). Output
-// is byte-identical for every value.
-func WithStageBuffer(n int) Option { return func(c *Config) { c.StageBuffer = n } }
 
 // WithMatchRegistry gives the pipeline a private match-index cache with
 // its own sharding and memory bound instead of the process-wide default.

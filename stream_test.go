@@ -19,11 +19,7 @@ import (
 func learned(t *testing.T, cfg Config) (*Marketplace, *System) {
 	t.Helper()
 	ds := marketplace(t)
-	sys := New(ds.Catalog, cfg)
-	if err := sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages)); err != nil {
-		t.Fatal(err)
-	}
-	return ds, sys
+	return ds, learnSystem(t, ds.Catalog, ds, WithConfig(cfg))
 }
 
 // contiguousWaves splits offers into n contiguous waves.
@@ -85,7 +81,7 @@ func runStream(t *testing.T, sys *System, waves [][]Offer, pages PageFetcher, op
 func TestSynthesizeStreamEquivalence(t *testing.T) {
 	ds, sys := learned(t, Config{})
 	fetcher := MapFetcher(ds.Pages)
-	oneShot, err := sys.Synthesize(ds.IncomingOffers, fetcher)
+	oneShot, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, fetcher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,37 +146,34 @@ func TestSynthesizeStreamEquivalence(t *testing.T) {
 		}
 	}
 
-	// Pipelining determinism: the same equivalence must hold across
-	// stage-buffer depths (barrier, unbuffered handoff, deeper readahead)
-	// crossed with worker counts — cross-wave overlap and fan-out width
-	// must never change a byte of output.
+	// Pipelining determinism: the same equivalence must hold across worker
+	// counts — cross-wave overlap and fan-out width must never change a
+	// byte of output.
 	model := sys.Model()
-	for _, sb := range []int{-1, 0, 1, 4} {
-		for _, workers := range []int{1, 4} {
-			name := fmt.Sprintf("stagebuffer=%d/workers=%d", sb, workers)
-			psys := NewSystem(ds.Catalog, model, WithStageBuffer(sb), WithWorkers(workers))
-			for _, n := range []int{1, 3, 7} {
-				waves := contiguousWaves(ds.IncomingOffers, n)
-				perWave, final := runStream(t, psys, waves, fetcher, StreamOptions{})
-				if len(perWave) != len(waves) {
-					t.Fatalf("%s waves=%d: %d per-wave results", name, n, len(perWave))
+	for _, workers := range []int{1, 4} {
+		name := fmt.Sprintf("workers=%d", workers)
+		psys := NewSystem(ds.Catalog, model, WithWorkers(workers))
+		for _, n := range []int{1, 3, 7} {
+			waves := contiguousWaves(ds.IncomingOffers, n)
+			perWave, final := runStream(t, psys, waves, fetcher, StreamOptions{})
+			if len(perWave) != len(waves) {
+				t.Fatalf("%s waves=%d: %d per-wave results", name, n, len(perWave))
+			}
+			for i, r := range perWave {
+				if r.Err != nil {
+					t.Errorf("%s waves=%d: wave %d failed: %v", name, n, i, r.Err)
 				}
-				for i, r := range perWave {
-					if r.Err != nil {
-						t.Errorf("%s waves=%d: wave %d failed: %v", name, n, i, r.Err)
-					}
-					if r.Wave != i {
-						t.Errorf("%s waves=%d: result %d has Wave=%d (out of order)", name, n, i, r.Wave)
-					}
+				if r.Wave != i {
+					t.Errorf("%s waves=%d: result %d has Wave=%d (out of order)", name, n, i, r.Wave)
 				}
-				got := productFingerprints(final.Products)
-				if len(got) != len(want) {
-					t.Fatalf("%s waves=%d: %d merged products vs %d one-shot", name, n, len(got), len(want))
-				}
-				for i := range want {
-					if got[i] != want[i] {
-						t.Fatalf("%s waves=%d: product %d differs:\n  streamed: %s\n  one-shot: %s", name, n, i, got[i], want[i])
-					}
+			}
+			got := productFingerprints(final.Products)
+			if len(got) != len(want) {
+				t.Fatalf("%s waves=%d: %d merged products vs %d one-shot", name, n, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%s waves=%d: product %d differs:\n  streamed: %s\n  one-shot: %s", name, n, i, got[i], want[i])
 				}
 			}
 		}
@@ -195,7 +188,7 @@ func TestSynthesizeStreamMemoryDisabledMatchesBatches(t *testing.T) {
 	fetcher := MapFetcher(ds.Pages)
 	waves := contiguousWaves(ds.IncomingOffers, 3)
 
-	batched, err := sys.SynthesizeBatches(waves, fetcher)
+	batched, err := sys.SynthesizeBatchesContext(context.Background(), waves, fetcher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +231,7 @@ func TestSynthesizeStreamMemoryDisabledMatchesBatches(t *testing.T) {
 func TestSynthesizeStreamMergesAcrossWaves(t *testing.T) {
 	ds, sys := learned(t, Config{})
 	fetcher := MapFetcher(ds.Pages)
-	oneShot, err := sys.Synthesize(ds.IncomingOffers, fetcher)
+	oneShot, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, fetcher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +282,7 @@ func TestSynthesizeStreamMergesAcrossWaves(t *testing.T) {
 
 	// Batch runs have no cross-batch memory: the product synthesizes in
 	// both batches.
-	batched, err := sys.SynthesizeBatches(waves, fetcher)
+	batched, err := sys.SynthesizeBatchesContext(context.Background(), waves, fetcher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +317,7 @@ func TestSynthesizeStreamMergesAcrossWaves(t *testing.T) {
 // TestSynthesizeStreamNotLearned mirrors the batch APIs' contract.
 func TestSynthesizeStreamNotLearned(t *testing.T) {
 	ds := marketplace(t)
-	sys := New(ds.Catalog, Config{})
+	sys := NewSystem(ds.Catalog, nil)
 	in := make(chan []Offer)
 	if _, err := sys.SynthesizeStream(context.Background(), in, MapFetcher(ds.Pages), StreamOptions{}); !errors.Is(err, ErrNotLearned) {
 		t.Fatalf("err = %v, want ErrNotLearned", err)
@@ -348,7 +341,7 @@ func TestSynthesizeBatchesPartialFailure(t *testing.T) {
 	waves := contiguousWaves(ds.IncomingOffers, 2)
 	batches := [][]Offer{waves[0], {badOffer(ds)}, waves[1]}
 
-	res, err := sys.SynthesizeBatches(batches, fetcher)
+	res, err := sys.SynthesizeBatchesContext(context.Background(), batches, fetcher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -540,7 +533,7 @@ func TestStreamPipelinedCancelTwoWavesInFlight(t *testing.T) {
 	wave2 := ds.IncomingOffers[8:16]
 
 	// The gate only trips if wave 1 actually fuses something.
-	sanity, err := v1.Synthesize(wave1, MapFetcher(ds.Pages))
+	sanity, err := v1.SynthesizeContext(context.Background(), wave1, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -637,7 +630,7 @@ func TestStreamConcurrentCatalogGrowth(t *testing.T) {
 func TestSynthesizeStreamEquivalenceWithSpill(t *testing.T) {
 	ds, base := learned(t, Config{})
 	fetcher := MapFetcher(ds.Pages)
-	oneShot, err := base.Synthesize(ds.IncomingOffers, fetcher)
+	oneShot, err := base.SynthesizeContext(context.Background(), ds.IncomingOffers, fetcher)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -661,10 +654,7 @@ func TestSynthesizeStreamEquivalenceWithSpill(t *testing.T) {
 			name := fmt.Sprintf("%s/open=%d/idle=%d", f.name, opts.MaxOpenClusters, opts.MaxIdleWaves)
 			cfg := Config{}
 			cfg.Spill = f.mk(t)
-			sys := New(ds.Catalog, cfg)
-			if err := sys.Learn(ds.HistoricalOffers, MapFetcher(ds.Pages)); err != nil {
-				t.Fatal(err)
-			}
+			sys := learnSystem(t, ds.Catalog, ds, WithConfig(cfg))
 			for _, n := range []int{1, 3, 7, len(ds.IncomingOffers)} {
 				waves := contiguousWaves(ds.IncomingOffers, n)
 				perWave, final := runStream(t, sys, waves, fetcher, opts)

@@ -30,12 +30,10 @@ func wrapFetch(pages core.PageFetcher, cfg Config) core.PageFetcher {
 
 // System is the runtime half of the pipeline: it ties a catalog to a
 // learned Model and serves synthesis over them. Build one with NewSystem
-// from a Model (Learn or LoadModel), so a System is never "not learned";
-// in a long-lived process, swap in a re-learned Model atomically with Use
-// while synthesis traffic is in flight.
-//
-// The deprecated v1 constructor New builds a System without a Model; only
-// on that path can the synthesis entry points return ErrNotLearned.
+// from a Model (Learn or LoadModel); in a long-lived process, swap in a
+// re-learned Model atomically with Use while synthesis traffic is in
+// flight. A System built with a nil Model (or reset by Use(nil)) returns
+// ErrNotLearned from its synthesis entry points.
 type System struct {
 	store *Catalog
 	cfg   Config
@@ -79,13 +77,13 @@ func (s *System) Use(model *Model) {
 	s.slot.Store(&modelSlot{model: model, gen: s.gen.Add(1)})
 }
 
-// Model returns the Model the System currently serves with, or nil on the
-// deprecated v1 path before Learn.
+// Model returns the Model the System currently serves with, or nil if it
+// holds none.
 func (s *System) Model() *Model { return s.slot.Load().model }
 
 // Generation returns the generation number of the Model the System
 // currently serves with: 1 for the Model passed to NewSystem, incremented
-// by every Use. Zero only on the deprecated v1 path before Learn. A
+// by every Use. Zero only for a System built with a nil Model. A
 // serving process exposes this as the observable marker of a completed
 // hot reload, and every Result reports the generation that produced it
 // (Result.ModelGeneration), so responses spanning a swap are attributable
@@ -264,8 +262,7 @@ type StreamOptions struct {
 	// backpressure on the fuse stage: it runs at most one wave ahead of
 	// the consumer (the wave whose result is being delivered). Larger
 	// values let it run further ahead. The prepare stage additionally
-	// works ahead of fuse by up to 1+Config.StageBuffer waves (see
-	// WithStageBuffer) unless cross-wave pipelining is disabled.
+	// works one wave ahead of fuse.
 	Buffer int
 	// FetchPolicy overrides the System's Config.Fetch for this stream:
 	// non-nil, the stream wraps its fetcher under this policy instead
@@ -354,12 +351,11 @@ type StreamResult struct {
 //
 // The stream executes as two pull-based stages — prepare (classify,
 // extract, match-exclude, reconcile) and fuse (cluster memory, value
-// fusion) — with a bounded buffer between them, so wave n+1's prepare
-// overlaps wave n's fuse while results are still emitted in input order,
-// byte-identical to barrier execution (WithStageBuffer tunes or disables
-// the overlap). Each result's Sealed field carries the stream's
-// ClusterSealed events: the products that just became final (see
-// ClusterSealed for the consumer contract).
+// fusion) — with a one-wave hand-off between them, so wave n+1's prepare
+// overlaps wave n's fuse while results are still emitted in input order.
+// Each result's Sealed field carries the stream's ClusterSealed events:
+// the products that just became final (see ClusterSealed for the consumer
+// contract).
 //
 // The stream pins the Model current when it starts; a later Use swap
 // affects subsequent calls, not a stream already in flight. A failed wave
