@@ -52,8 +52,8 @@
 // every entry point wraps the caller's [PageFetcher] in a resilience
 // layer — per-attempt deadlines, bounded retries with jittered backoff, a
 // per-host circuit breaker, and a concurrency gate — wrapped once per run
-// (once per stream), so breaker state spans a whole batch or wave
-// sequence. The degraded-mode guarantees are:
+// (once per stream), so breaker state spans a whole wave sequence. The
+// degraded-mode guarantees are:
 //
 //   - Lenient mode (the default): an offer whose page cannot be fetched
 //     after all retries proceeds on its feed spec alone. Nothing is
@@ -62,8 +62,8 @@
 //     that went feed-only ([FetchReport.FeedOnly]), so graceful
 //     degradation is observable and alertable.
 //   - Strict mode ([WithStrictPages]): the first fetch failure in offer
-//     input order fails the run (a batch or wave records the error and
-//     later batches continue). Offline learning honors the same knob.
+//     input order fails the run (a stream wave records the error and
+//     later waves continue). Offline learning honors the same knob.
 //   - Determinism: retries change when a fetch runs, never what it
 //     returns, so under any fault schedule that is a pure function of
 //     (URL, attempt) the synthesized output is byte-identical across
@@ -148,10 +148,10 @@
 //
 // The contracts above are not prose-only: internal/lint is a repo-specific
 // analyzer suite (run as cmd/vetsynth in CI and as a self-scan test) that
-// machine-checks them — timing in the Clock-bearing packages goes through
-// the injectable Clock (clockcheck), exported entry points that block or
-// spawn take a context first and library code never manufactures root
-// contexts (ctxfirst), shard critical sections stay free of channel ops,
+// machine-checks them — retry backoff and breaker timing in
+// internal/fetch goes through its injectable Clock (clockcheck), exported
+// entry points that block or spawn take a context first and library code
+// never manufactures root contexts (ctxfirst), shard critical sections stay free of channel ops,
 // I/O, and user callbacks (lockscope), Err* sentinels are wrapped with %w
 // so errors.Is matches through every decoder (errwrapcheck), and raw
 // goroutines have a visible join (spawncheck). A justified exception is

@@ -44,8 +44,8 @@ func TestSystemLifecycle(t *testing.T) {
 	if _, err := sys.SynthesizeContext(ctx, ds.IncomingOffers, MapFetcher(ds.Pages)); !errors.Is(err, ErrNotLearned) {
 		t.Fatalf("SynthesizeContext without a Model: err = %v, want ErrNotLearned", err)
 	}
-	if _, err := sys.SynthesizeBatchesContext(ctx, [][]Offer{ds.IncomingOffers}, MapFetcher(ds.Pages)); !errors.Is(err, ErrNotLearned) {
-		t.Fatalf("SynthesizeBatchesContext without a Model: err = %v, want ErrNotLearned", err)
+	if _, err := sys.SynthesizeStream(ctx, make(chan []Offer), MapFetcher(ds.Pages), StreamOptions{DisableClusterMemory: true}); !errors.Is(err, ErrNotLearned) {
+		t.Fatalf("memory-less SynthesizeStream without a Model: err = %v, want ErrNotLearned", err)
 	}
 
 	model, err := Learn(ctx, ds.Catalog, ds.HistoricalOffers, MapFetcher(ds.Pages))
@@ -285,10 +285,10 @@ func productFingerprints(products []Synthesized) []string {
 	return out
 }
 
-// TestSynthesizeBatchesMatchesOneShot is the batch-API determinism
-// acceptance test: a single batch holding all offers must produce exactly
-// the one-shot Synthesize output, and repeated batch runs must agree with
-// each other.
+// TestSynthesizeBatchesMatchesOneShot is the per-wave determinism
+// acceptance test on the memory-less stream: a single wave holding all
+// offers must produce exactly the one-shot Synthesize output, and repeated
+// split runs must agree with each other.
 func TestSynthesizeBatchesMatchesOneShot(t *testing.T) {
 	ds := marketplace(t)
 	sys := learnSystem(t, ds.Catalog, ds)
@@ -297,28 +297,26 @@ func TestSynthesizeBatchesMatchesOneShot(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	batched, err := sys.SynthesizeBatchesContext(context.Background(), [][]Offer{ds.IncomingOffers}, MapFetcher(ds.Pages))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(batched.Batches) != 1 {
-		t.Fatalf("Batches = %d, want 1", len(batched.Batches))
+	memoryless := StreamOptions{DisableClusterMemory: true}
+	whole, wholeFinal := runStream(t, sys, [][]Offer{ds.IncomingOffers}, MapFetcher(ds.Pages), memoryless)
+	if len(whole) != 1 {
+		t.Fatalf("waves = %d, want 1", len(whole))
 	}
 	want := productFingerprints(oneShot.Products)
-	got := productFingerprints(batched.Total.Products)
+	got := productFingerprints(whole[0].Products)
 	if len(got) != len(want) {
-		t.Fatalf("products: %d batched vs %d one-shot", len(got), len(want))
+		t.Fatalf("products: %d streamed vs %d one-shot", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Errorf("product %d differs:\n  batched:  %s\n  one-shot: %s", i, got[i], want[i])
+			t.Errorf("product %d differs:\n  streamed: %s\n  one-shot: %s", i, got[i], want[i])
 		}
 	}
-	if batched.Total.PairsMapped != oneShot.PairsMapped ||
-		batched.Total.PairsDropped != oneShot.PairsDropped ||
-		batched.Total.OffersWithoutKey != oneShot.OffersWithoutKey ||
-		batched.Total.ExcludedMatched != oneShot.ExcludedMatched {
-		t.Errorf("counters differ: batched %+v vs one-shot %+v", batched.Total, *oneShot)
+	if wholeFinal.PairsMapped != oneShot.PairsMapped ||
+		wholeFinal.PairsDropped != oneShot.PairsDropped ||
+		wholeFinal.OffersWithoutKey != oneShot.OffersWithoutKey ||
+		wholeFinal.ExcludedMatched != oneShot.ExcludedMatched {
+		t.Errorf("counters differ: streamed %+v vs one-shot %+v", wholeFinal.Result, *oneShot)
 	}
 
 	// Split runs are deterministic run-to-run, and their counters aggregate.
@@ -326,15 +324,9 @@ func TestSynthesizeBatchesMatchesOneShot(t *testing.T) {
 		ds.IncomingOffers[:len(ds.IncomingOffers)/2],
 		ds.IncomingOffers[len(ds.IncomingOffers)/2:],
 	}
-	b1, err := sys.SynthesizeBatchesContext(context.Background(), split, MapFetcher(ds.Pages))
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2, err := sys.SynthesizeBatchesContext(context.Background(), split, MapFetcher(ds.Pages))
-	if err != nil {
-		t.Fatal(err)
-	}
-	f1, f2 := productFingerprints(b1.Total.Products), productFingerprints(b2.Total.Products)
+	w1, final1 := runStream(t, sys, split, MapFetcher(ds.Pages), memoryless)
+	w2, _ := runStream(t, sys, split, MapFetcher(ds.Pages), memoryless)
+	f1, f2 := productFingerprints(waveProducts(w1)), productFingerprints(waveProducts(w2))
 	if len(f1) != len(f2) {
 		t.Fatalf("split runs disagree on product count: %d vs %d", len(f1), len(f2))
 	}
@@ -343,40 +335,33 @@ func TestSynthesizeBatchesMatchesOneShot(t *testing.T) {
 			t.Errorf("split runs differ at product %d", i)
 		}
 	}
-	sum := 0
-	for _, r := range b1.Batches {
-		sum += len(r.Products)
-	}
-	if sum != len(b1.Total.Products) {
-		t.Errorf("Total.Products = %d, want sum of batches %d", len(b1.Total.Products), sum)
-	}
 
-	// Per-batch stats: every batch reports its offer count, match/fusion
-	// counts, and a non-zero wall time; totals aggregate them.
+	// Per-wave stats: every wave reports its offer count, match/fusion
+	// counts, and a non-zero wall time; the final result aggregates them.
 	var offers, clusters int
 	var elapsed time.Duration
-	for i, r := range b1.Batches {
+	for i, r := range w1 {
 		if r.Offers != len(split[i]) {
-			t.Errorf("batch %d Offers = %d, want %d", i, r.Offers, len(split[i]))
+			t.Errorf("wave %d Offers = %d, want %d", i, r.Offers, len(split[i]))
 		}
 		if r.Clusters != len(r.Products) {
-			t.Errorf("batch %d Clusters = %d, want %d (one product per cluster)", i, r.Clusters, len(r.Products))
+			t.Errorf("wave %d Clusters = %d, want %d (one product per cluster)", i, r.Clusters, len(r.Products))
 		}
 		if r.Elapsed <= 0 {
-			t.Errorf("batch %d Elapsed = %v, want > 0", i, r.Elapsed)
+			t.Errorf("wave %d Elapsed = %v, want > 0", i, r.Elapsed)
 		}
 		offers += r.Offers
 		clusters += r.Clusters
 		elapsed += r.Elapsed
 	}
-	if b1.Total.Offers != offers || b1.Total.Offers != len(ds.IncomingOffers) {
-		t.Errorf("Total.Offers = %d, want %d (= %d incoming)", b1.Total.Offers, offers, len(ds.IncomingOffers))
+	if final1.Offers != offers || final1.Offers != len(ds.IncomingOffers) {
+		t.Errorf("final Offers = %d, want %d (= %d incoming)", final1.Offers, offers, len(ds.IncomingOffers))
 	}
-	if b1.Total.Clusters != clusters {
-		t.Errorf("Total.Clusters = %d, want %d", b1.Total.Clusters, clusters)
+	if final1.Clusters != clusters || final1.Clusters != len(f1) {
+		t.Errorf("final Clusters = %d, want %d (= %d products over the waves)", final1.Clusters, clusters, len(f1))
 	}
-	if b1.Total.Elapsed != elapsed {
-		t.Errorf("Total.Elapsed = %v, want summed %v", b1.Total.Elapsed, elapsed)
+	if final1.Elapsed != elapsed {
+		t.Errorf("final Elapsed = %v, want summed %v", final1.Elapsed, elapsed)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 
 // The tests here pin the context contract of the v2 entry points:
 // cancelling mid-Learn and mid-Synthesize returns ctx.Err() promptly and
-// leaks no worker-pool goroutines — the batch-side mirror of
+// leaks no worker-pool goroutines — the one-shot mirror of
 // TestStreamCtxCancelNoLeak. The gateFetcher (stream_test.go) parks every
 // page fetch until released, which is how the tests guarantee the
 // cancellation lands while the pipeline's pools are mid-stage.
@@ -87,40 +87,6 @@ func TestSynthesizeCtxCancelNoLeak(t *testing.T) {
 	}
 	if got.res != nil {
 		t.Error("cancelled run returned a non-nil Result")
-	}
-	waitGoroutines(t, baseline)
-}
-
-// TestSynthesizeBatchesCtxCancel pins the batch loop's cancellation: a
-// cancelled context aborts the run with ctx.Err() rather than recording
-// the cancellation as a per-batch failure and marching on.
-func TestSynthesizeBatchesCtxCancel(t *testing.T) {
-	ds, sys := learned(t, Config{})
-	baseline := runtime.NumGoroutine()
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	gate := newGateFetcher(MapFetcher(ds.Pages))
-	waves := contiguousWaves(ds.IncomingOffers, 4)
-	type outcome struct {
-		res *BatchResult
-		err error
-	}
-	done := make(chan outcome, 1)
-	go func() {
-		res, err := sys.SynthesizeBatchesContext(ctx, waves, gate)
-		done <- outcome{res, err}
-	}()
-
-	<-gate.inflight // first batch is mid-extraction
-	cancel()
-	close(gate.release)
-	got := <-done
-	if !errors.Is(got.err, context.Canceled) {
-		t.Fatalf("SynthesizeBatchesContext returned %v, want context.Canceled", got.err)
-	}
-	if got.res != nil {
-		t.Error("cancelled batch run returned a non-nil BatchResult")
 	}
 	waitGoroutines(t, baseline)
 }

@@ -127,31 +127,28 @@ func TestFetchPolicyStreamBatchEquivalence(t *testing.T) {
 }
 
 // TestFetchPolicyBatchesRecover runs the same recovery schedule through
-// the batch entry point: the fetcher is wrapped once for the whole
-// sequence, per-batch reports carry each batch's share, and the total
-// matches the schedule.
+// the memory-less stream: the fetcher is wrapped once for the whole wave
+// sequence, so breaker state and counters span it, per-wave reports carry
+// each wave's share, and the total matches the schedule.
 func TestFetchPolicyBatchesRecover(t *testing.T) {
 	ds, sys := learned(t, Config{Fetch: recoveryPolicy()})
 	faulty := NewFaultyFetcher(MapFetcher(ds.Pages), FailFirstFaults(2), NewFakeFetchClock())
-	batches := contiguousWaves(ds.IncomingOffers, 3)
+	waves := contiguousWaves(ds.IncomingOffers, 3)
 
-	res, err := sys.SynthesizeBatchesContext(context.Background(), batches, faulty)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Failed != 0 {
-		t.Fatalf("%d batches failed", res.Failed)
-	}
-	for i, b := range res.Batches {
-		if b.Fetch.Attempted != len(batches[i]) || b.Fetch.Recovered != len(batches[i]) {
-			t.Errorf("batch %d report = %+v, want %d attempted and recovered",
-				i, b.Fetch.Counters, len(batches[i]))
+	perWave, final := runStream(t, sys, waves, faulty, StreamOptions{DisableClusterMemory: true})
+	for i, r := range perWave {
+		if r.Err != nil {
+			t.Fatalf("wave %d failed: %v", i, r.Err)
+		}
+		if r.Fetch.Attempted != len(waves[i]) || r.Fetch.Recovered != len(waves[i]) {
+			t.Errorf("wave %d report = %+v, want %d attempted and recovered",
+				i, r.Fetch.Counters, len(waves[i]))
 		}
 	}
 	n := len(ds.IncomingOffers)
 	wantCounts := FetchCounters{Attempted: n, Attempts: 3 * n, Retried: n, Recovered: n}
-	if res.Total.Fetch.Counters != wantCounts {
-		t.Errorf("total FetchReport = %+v, want %+v", res.Total.Fetch.Counters, wantCounts)
+	if final.Fetch.Counters != wantCounts {
+		t.Errorf("total FetchReport = %+v, want %+v", final.Fetch.Counters, wantCounts)
 	}
 }
 

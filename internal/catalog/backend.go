@@ -1,16 +1,12 @@
-// Backend: the storage engine behind a Store. The Store's exported API
-// is a thin veneer over this interface, so the in-memory representation
-// can be swapped (or sharded, or disk-backed) without touching callers —
-// the same pluggable-storage shape janus-datalog uses to keep an
-// in-memory fast path next to an LSM backend.
+// Storage: the sharded in-memory representation behind a Store.
 //
-// The default backend shards categories by ID hash. Each shard owns its
-// categories, their product lists, and their version counters under its
-// own RWMutex, so reads and writes against different categories never
-// contend. The two store-global indexes — product ID -> shard and
-// UPC/MPN key -> owning product — live in a small directory with its own
-// lock, held only for map lookups inside a shard's critical section
-// (lock order: shard, then directory).
+// Categories are sharded by ID hash. Each shard owns its categories,
+// their product lists, and their version counters under its own RWMutex,
+// so reads and writes against different categories never contend. The
+// two store-global indexes — product ID -> shard and UPC/MPN key ->
+// owning product — live in a small directory with its own lock, held only
+// for map lookups inside a shard's critical section (lock order: shard,
+// then directory).
 //
 // Mutations are observable: an Observer attached with SetObserver is
 // invoked synchronously inside the shard critical section, so the
@@ -26,52 +22,12 @@ import (
 	"hash/fnv"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// DefaultShards is the shard count of the backend NewStore builds. Small
-// enough that per-shard snapshot files stay coarse, large enough that
-// concurrent ingestion into distinct categories rarely shares a lock.
+// DefaultShards is the shard count NewStore uses. Small enough that
+// per-shard snapshot files stay coarse, large enough that concurrent
+// ingestion into distinct categories rarely shares a lock.
 const DefaultShards = 8
-
-// Backend is the storage engine interface behind a Store. All methods
-// must be safe for concurrent use. Product and Category values passed in
-// are copied; values returned are private copies.
-type Backend interface {
-	AddCategory(c Category) error
-	Category(id string) (Category, bool)
-	Categories() []Category
-	NumCategories() int
-
-	AddProduct(p Product) (AddOutcome, error)
-	AddProductAutoID(prefix string, p Product) (string, AddOutcome, error)
-	Product(id string) (Product, bool)
-	ProductByKey(key string) (Product, bool)
-	ProductsInCategory(categoryID string) []Product
-	ProductsInCategoryVersioned(categoryID string) ([]Product, uint64)
-	ProductsSince(categoryID string, since uint64) (added []Product, version uint64, ok bool)
-	CategoryVersion(categoryID string) uint64
-	NumProducts() int
-
-	// NumShards and ShardOf describe the backend's partitioning;
-	// ShardSnapshot captures one partition. A non-sharded backend
-	// reports one shard.
-	NumShards() int
-	ShardOf(categoryID string) int
-	Snapshot() Snapshot
-	ShardSnapshot(shard int) Snapshot
-
-	// SetObserver attaches the mutation observer (nil detaches). The
-	// observer runs inside the shard critical section: per category, the
-	// observed order is the version order.
-	SetObserver(obs Observer)
-
-	// Replay applies one logged mutation idempotently: records at or
-	// below the category's current version are skipped (the snapshot
-	// already covers them), the next version applies, anything further
-	// ahead is a gap error. Replay does not invoke the observer.
-	Replay(rec ReplayRecord) error
-}
 
 // Observer receives committed mutations, synchronously, inside the shard
 // critical section. Implementations must not call back into the store.
@@ -98,19 +54,11 @@ type ReplayRecord struct {
 	OwnsKey bool
 }
 
-// memBackend is the default backend: category-hash shards plus a global
-// directory for the cross-shard indexes.
-type memBackend struct {
-	shards []memShard
-	dir    directory
-	obs    atomic.Value // observerBox
-}
-
 // observerBox wraps the Observer so atomic.Value always stores one
 // concrete type (and can hold "no observer").
 type observerBox struct{ obs Observer }
 
-type memShard struct {
+type shard struct {
 	mu         sync.RWMutex
 	categories map[string]*Category
 	products   map[string]*Product
@@ -127,45 +75,30 @@ type directory struct {
 	autoSeq uint64            // next candidate suffix for AddProductAutoID
 }
 
-// NewMemBackend returns the default sharded in-memory backend. shards
-// values below 1 are raised to 1.
-func NewMemBackend(shards int) Backend {
-	if shards < 1 {
-		shards = 1
-	}
-	b := &memBackend{shards: make([]memShard, shards)}
-	for i := range b.shards {
-		b.shards[i] = memShard{
-			categories: make(map[string]*Category),
-			products:   make(map[string]*Product),
-			byCategory: make(map[string][]string),
-			versions:   make(map[string]uint64),
-		}
-	}
-	b.dir.ids = make(map[string]int)
-	b.dir.byKey = make(map[string]string)
-	b.obs.Store(observerBox{})
-	return b
-}
+// NumShards reports the store's shard count.
+func (st *Store) NumShards() int { return len(st.shards) }
 
-func (b *memBackend) NumShards() int { return len(b.shards) }
-
-func (b *memBackend) ShardOf(categoryID string) int {
+func (st *Store) shardOf(categoryID string) int {
 	h := fnv.New32a()
 	h.Write([]byte(categoryID))
-	return int(h.Sum32() % uint32(len(b.shards)))
+	return int(h.Sum32() % uint32(len(st.shards)))
 }
 
-func (b *memBackend) observer() Observer {
-	return b.obs.Load().(observerBox).obs
+func (st *Store) observer() Observer {
+	return st.obs.Load().(observerBox).obs
 }
 
-func (b *memBackend) SetObserver(obs Observer) {
-	b.obs.Store(observerBox{obs: obs})
+// SetObserver attaches the mutation observer (nil detaches). The observer
+// runs inside the shard critical section: per category, the observed
+// order is the version order.
+func (st *Store) SetObserver(obs Observer) {
+	st.obs.Store(observerBox{obs: obs})
 }
 
-func (b *memBackend) AddCategory(c Category) error {
-	sh := &b.shards[b.ShardOf(c.ID)]
+// AddCategory registers a category. The category is copied; later mutation
+// of the argument does not affect the store.
+func (st *Store) AddCategory(c Category) error {
+	sh := &st.shards[st.shardOf(c.ID)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if _, ok := sh.categories[c.ID]; ok {
@@ -176,14 +109,15 @@ func (b *memBackend) AddCategory(c Category) error {
 	cp.Schema.byName = nil
 	cp.Schema.buildNameIndex()
 	sh.categories[c.ID] = &cp
-	if obs := b.observer(); obs != nil {
+	if obs := st.observer(); obs != nil {
 		obs.ObserveCategory(cp)
 	}
 	return nil
 }
 
-func (b *memBackend) Category(id string) (Category, bool) {
-	sh := &b.shards[b.ShardOf(id)]
+// Category returns the category with the given ID.
+func (st *Store) Category(id string) (Category, bool) {
+	sh := &st.shards[st.shardOf(id)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	c, ok := sh.categories[id]
@@ -193,10 +127,11 @@ func (b *memBackend) Category(id string) (Category, bool) {
 	return *c, true
 }
 
-func (b *memBackend) Categories() []Category {
+// Categories returns all categories sorted by ID.
+func (st *Store) Categories() []Category {
 	var out []Category
-	for i := range b.shards {
-		sh := &b.shards[i]
+	for i := range st.shards {
+		sh := &st.shards[i]
 		sh.mu.RLock()
 		for _, c := range sh.categories {
 			out = append(out, *c)
@@ -207,10 +142,11 @@ func (b *memBackend) Categories() []Category {
 	return out
 }
 
-func (b *memBackend) NumCategories() int {
+// NumCategories returns the number of categories.
+func (st *Store) NumCategories() int {
 	n := 0
-	for i := range b.shards {
-		sh := &b.shards[i]
+	for i := range st.shards {
+		sh := &st.shards[i]
 		sh.mu.RLock()
 		n += len(sh.categories)
 		sh.mu.RUnlock()
@@ -218,21 +154,33 @@ func (b *memBackend) NumCategories() int {
 	return n
 }
 
-func (b *memBackend) AddProduct(p Product) (AddOutcome, error) {
-	shi := b.ShardOf(p.CategoryID)
-	sh := &b.shards[shi]
+// AddProductOutcome inserts a product like AddProduct and additionally
+// reports non-fatal outcomes: a duplicate UPC/MPN key does not overwrite
+// the key index (the earlier product keeps owning the key) and is
+// surfaced through AddOutcome.KeyShadowedBy instead of silently skewing
+// later ProductByKey lookups.
+func (st *Store) AddProductOutcome(p Product) (AddOutcome, error) {
+	shi := st.shardOf(p.CategoryID)
+	sh := &st.shards[shi]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	_, out, err := b.addLocked(sh, shi, p, false, "")
+	_, out, err := st.addLocked(sh, shi, p, false, "")
 	return out, err
 }
 
-func (b *memBackend) AddProductAutoID(prefix string, p Product) (string, AddOutcome, error) {
-	shi := b.ShardOf(p.CategoryID)
-	sh := &b.shards[shi]
+// AddProductAutoID inserts a product under a generated ID of the form
+// "<prefix>-nokey-<n>", chosen while holding the store lock so that
+// concurrent callers can never mint the same ID — the reservation and
+// the insertion are one critical section. The chosen n is a per-store
+// sequence that skips IDs already in use (e.g. after a snapshot load),
+// so a generated ID never collides with an existing product. Returns the
+// assigned ID; p.ID is ignored.
+func (st *Store) AddProductAutoID(prefix string, p Product) (string, AddOutcome, error) {
+	shi := st.shardOf(p.CategoryID)
+	sh := &st.shards[shi]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return b.addLocked(sh, shi, p, true, prefix)
+	return st.addLocked(sh, shi, p, true, prefix)
 }
 
 // addLocked validates p against its category and commits it; sh.mu must
@@ -241,12 +189,12 @@ func (b *memBackend) AddProductAutoID(prefix string, p Product) (string, AddOutc
 // critical section that claims it — concurrent callers can never mint
 // the same ID. Error precedence matches the pre-sharding store: unknown
 // category, then duplicate ID, then schema violation.
-func (b *memBackend) addLocked(sh *memShard, shi int, p Product, mint bool, prefix string) (string, AddOutcome, error) {
+func (st *Store) addLocked(sh *shard, shi int, p Product, mint bool, prefix string) (string, AddOutcome, error) {
 	cat, ok := sh.categories[p.CategoryID]
 	if !ok {
 		return "", AddOutcome{}, fmt.Errorf("%w: %s (product %s)", ErrUnknownCategory, p.CategoryID, p.ID)
 	}
-	d := &b.dir
+	d := &st.dir
 	d.mu.Lock()
 	if !mint {
 		if _, dup := d.ids[p.ID]; dup {
@@ -287,23 +235,24 @@ func (b *memBackend) addLocked(sh *memShard, shi int, p Product, mint bool, pref
 	sh.products[cp.ID] = &cp
 	sh.byCategory[cp.CategoryID] = append(sh.byCategory[cp.CategoryID], cp.ID)
 	sh.versions[cp.CategoryID]++
-	if obs := b.observer(); obs != nil {
+	if obs := st.observer(); obs != nil {
 		obs.ObserveProduct(sh.versions[cp.CategoryID], ownsKey, cp)
 	}
 	return cp.ID, out, nil
 }
 
-func (b *memBackend) Product(id string) (Product, bool) {
-	b.dir.mu.RLock()
-	shi, ok := b.dir.ids[id]
-	b.dir.mu.RUnlock()
+// Product returns the product with the given ID.
+func (st *Store) Product(id string) (Product, bool) {
+	st.dir.mu.RLock()
+	shi, ok := st.dir.ids[id]
+	st.dir.mu.RUnlock()
 	if !ok {
 		return Product{}, false
 	}
 	// The directory entry is written inside the owning shard's critical
 	// section, so by the time this RLock is granted the product is in
 	// the shard maps.
-	sh := &b.shards[shi]
+	sh := &st.shards[shi]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	p, ok := sh.products[id]
@@ -315,39 +264,62 @@ func (b *memBackend) Product(id string) (Product, bool) {
 	return cp, true
 }
 
-func (b *memBackend) ProductByKey(key string) (Product, bool) {
-	b.dir.mu.RLock()
-	id, ok := b.dir.byKey[key]
-	b.dir.mu.RUnlock()
+// ProductByKey returns the product whose UPC or MPN equals key. When
+// several products were inserted with the same key, the first insertion
+// owns it (later ones are reported shadowed by AddProductOutcome).
+func (st *Store) ProductByKey(key string) (Product, bool) {
+	st.dir.mu.RLock()
+	id, ok := st.dir.byKey[key]
+	st.dir.mu.RUnlock()
 	if !ok {
 		return Product{}, false
 	}
-	return b.Product(id)
+	return st.Product(id)
 }
 
-func (b *memBackend) CategoryVersion(categoryID string) uint64 {
-	sh := &b.shards[b.ShardOf(categoryID)]
+// CategoryVersion returns the category's mutation counter: it starts at 0
+// and increments on every product insertion into the category. Caches keyed
+// on a category's product set use it to detect staleness.
+func (st *Store) CategoryVersion(categoryID string) uint64 {
+	sh := &st.shards[st.shardOf(categoryID)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.versions[categoryID]
 }
 
-func (b *memBackend) ProductsInCategory(categoryID string) []Product {
-	sh := &b.shards[b.ShardOf(categoryID)]
+// ProductsInCategory returns the products of one category in insertion order.
+func (st *Store) ProductsInCategory(categoryID string) []Product {
+	sh := &st.shards[st.shardOf(categoryID)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.productsLocked(sh.byCategory[categoryID])
 }
 
-func (b *memBackend) ProductsInCategoryVersioned(categoryID string) ([]Product, uint64) {
-	sh := &b.shards[b.ShardOf(categoryID)]
+// ProductsInCategoryVersioned returns the products of one category in
+// insertion order together with the category version the snapshot
+// corresponds to, read atomically. Caches that later ask ProductsSince
+// for a delta must seed from this version, not from a separately read
+// CategoryVersion, or a concurrent insertion could slip between the two
+// reads and be double-counted or lost.
+func (st *Store) ProductsInCategoryVersioned(categoryID string) ([]Product, uint64) {
+	sh := &st.shards[st.shardOf(categoryID)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	return sh.productsLocked(sh.byCategory[categoryID]), sh.versions[categoryID]
 }
 
-func (b *memBackend) ProductsSince(categoryID string, since uint64) ([]Product, uint64, bool) {
-	sh := &b.shards[b.ShardOf(categoryID)]
+// ProductsSince returns the products appended to a category after its
+// first `since` insertions — the category's append log from version
+// `since` to the returned current version. It is the incremental-update
+// surface for caches built over a category's products: on a version bump,
+// apply the delta instead of rebuilding from the full product list.
+//
+// ok is false when the delta cannot be derived: since is ahead of the
+// category's version, or the category's history is not pure appends (no
+// such mutation exists today; the check guards future ones). Callers must
+// then rebuild from ProductsInCategoryVersioned.
+func (st *Store) ProductsSince(categoryID string, since uint64) (added []Product, version uint64, ok bool) {
+	sh := &st.shards[st.shardOf(categoryID)]
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
 	v := sh.versions[categoryID]
@@ -358,10 +330,11 @@ func (b *memBackend) ProductsSince(categoryID string, since uint64) ([]Product, 
 	return sh.productsLocked(ids[since:]), v, true
 }
 
-func (b *memBackend) NumProducts() int {
+// NumProducts returns the number of products in the store.
+func (st *Store) NumProducts() int {
 	n := 0
-	for i := range b.shards {
-		sh := &b.shards[i]
+	for i := range st.shards {
+		sh := &st.shards[i]
 		sh.mu.RLock()
 		n += len(sh.products)
 		sh.mu.RUnlock()
@@ -370,7 +343,7 @@ func (b *memBackend) NumProducts() int {
 }
 
 // productsLocked clones the products with the given IDs; sh.mu must be held.
-func (sh *memShard) productsLocked(ids []string) []Product {
+func (sh *shard) productsLocked(ids []string) []Product {
 	out := make([]Product, 0, len(ids))
 	for _, id := range ids {
 		p := sh.products[id]
@@ -381,26 +354,29 @@ func (sh *memShard) productsLocked(ids []string) []Product {
 	return out
 }
 
-// Snapshot captures the whole store at one point in time: every shard
-// RLock plus the directory RLock are held together, so no mutation can
-// land between two shards' captures.
-func (b *memBackend) Snapshot() Snapshot {
-	for i := range b.shards {
-		b.shards[i].mu.RLock()
+// Snapshot captures the store's state atomically: categories sorted by
+// ID, products in per-category insertion order, version counters, and
+// the key ownership table sorted by key. Everything is deeply copied;
+// later store mutation does not affect the snapshot. Every shard RLock
+// plus the directory RLock are held together, so no mutation can land
+// between two shards' captures.
+func (st *Store) Snapshot() Snapshot {
+	for i := range st.shards {
+		st.shards[i].mu.RLock()
 	}
-	b.dir.mu.RLock()
+	st.dir.mu.RLock()
 	defer func() {
-		b.dir.mu.RUnlock()
-		for i := range b.shards {
-			b.shards[i].mu.RUnlock()
+		st.dir.mu.RUnlock()
+		for i := range st.shards {
+			st.shards[i].mu.RUnlock()
 		}
 	}()
 	var snap Snapshot
-	for i := range b.shards {
-		snap.Categories = append(snap.Categories, b.shards[i].categoriesLocked()...)
+	for i := range st.shards {
+		snap.Categories = append(snap.Categories, st.shards[i].categoriesLocked()...)
 	}
 	sortSnapshotCategories(&snap)
-	snap.Keys = b.dir.keysLocked(nil)
+	snap.Keys = st.dir.keysLocked(nil)
 	return snap
 }
 
@@ -408,25 +384,25 @@ func (b *memBackend) Snapshot() Snapshot {
 // products) and the slice of the key table owned by its products. The
 // union of all shard snapshots is exactly Snapshot (modulo the capture
 // not being atomic across separate calls).
-func (b *memBackend) ShardSnapshot(shard int) Snapshot {
-	sh := &b.shards[shard]
+func (st *Store) ShardSnapshot(i int) Snapshot {
+	sh := &st.shards[i]
 	sh.mu.RLock()
-	b.dir.mu.RLock()
+	st.dir.mu.RLock()
 	defer func() {
-		b.dir.mu.RUnlock()
+		st.dir.mu.RUnlock()
 		sh.mu.RUnlock()
 	}()
 	var snap Snapshot
 	snap.Categories = sh.categoriesLocked()
 	sortSnapshotCategories(&snap)
-	snap.Keys = b.dir.keysLocked(func(ownerID string) bool {
-		return b.dir.ids[ownerID] == shard
+	snap.Keys = st.dir.keysLocked(func(ownerID string) bool {
+		return st.dir.ids[ownerID] == i
 	})
 	return snap
 }
 
 // categoriesLocked captures the shard's categories unsorted; sh.mu held.
-func (sh *memShard) categoriesLocked() []CategorySnapshot {
+func (sh *shard) categoriesLocked() []CategorySnapshot {
 	out := make([]CategorySnapshot, 0, len(sh.categories))
 	for id, c := range sh.categories {
 		cc := *c
@@ -464,25 +440,29 @@ func (d *directory) keysLocked(keep func(ownerID string) bool) []KeyOwner {
 	return out
 }
 
-func (b *memBackend) Replay(rec ReplayRecord) error {
+// Replay applies one logged mutation idempotently: records at or below
+// the category's current version are skipped (the snapshot already covers
+// them), the next version applies, anything further ahead is a gap error.
+// Replay does not invoke the observer.
+func (st *Store) Replay(rec ReplayRecord) error {
 	switch {
 	case rec.Category != nil:
-		err := b.AddCategory(*rec.Category)
+		err := st.AddCategory(*rec.Category)
 		if errors.Is(err, ErrDuplicateCategory) {
 			return nil // snapshot already covers it
 		}
 		return err
 	case rec.Product != nil:
-		return b.replayProduct(rec)
+		return st.replayProduct(rec)
 	default:
 		return errors.New("catalog: empty replay record")
 	}
 }
 
-func (b *memBackend) replayProduct(rec ReplayRecord) error {
+func (st *Store) replayProduct(rec ReplayRecord) error {
 	p := *rec.Product
-	shi := b.ShardOf(p.CategoryID)
-	sh := &b.shards[shi]
+	shi := st.shardOf(p.CategoryID)
+	sh := &st.shards[shi]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	cat, ok := sh.categories[p.CategoryID]
@@ -503,7 +483,7 @@ func (b *memBackend) replayProduct(rec ReplayRecord) error {
 			return fmt.Errorf("%w: %q not in schema of %s (replayed product %s)", ErrSchemaViolation, av.Name, p.CategoryID, p.ID)
 		}
 	}
-	d := &b.dir
+	d := &st.dir
 	d.mu.Lock()
 	if _, dup := d.ids[p.ID]; dup {
 		d.mu.Unlock()
@@ -534,13 +514,13 @@ func (b *memBackend) replayProduct(rec ReplayRecord) error {
 	return nil
 }
 
-// loadSnapshot installs validated snapshot state; the backend must be
-// empty and not yet shared. Called by FromSnapshot after its consistency
+// loadSnapshot installs validated snapshot state; the store must be empty
+// and not yet shared. Called by FromSnapshot after its consistency
 // checks, so no validation happens here.
-func (b *memBackend) loadSnapshot(snap Snapshot) {
+func (st *Store) loadSnapshot(snap Snapshot) {
 	for _, cs := range snap.Categories {
-		shi := b.ShardOf(cs.Category.ID)
-		sh := &b.shards[shi]
+		shi := st.shardOf(cs.Category.ID)
+		sh := &st.shards[shi]
 		cc := cs.Category
 		cc.Schema.Attributes = append([]Attribute(nil), cs.Category.Schema.Attributes...)
 		cc.Schema.byName = nil
@@ -555,13 +535,13 @@ func (b *memBackend) loadSnapshot(snap Snapshot) {
 				cp := p
 				cp.Spec = p.Spec.Clone()
 				sh.products[cp.ID] = &cp
-				b.dir.ids[cp.ID] = shi
+				st.dir.ids[cp.ID] = shi
 				ids = append(ids, cp.ID)
 			}
 			sh.byCategory[cc.ID] = ids
 		}
 	}
 	for _, ko := range snap.Keys {
-		b.dir.byKey[ko.Key] = ko.ProductID
+		st.dir.byKey[ko.Key] = ko.ProductID
 	}
 }

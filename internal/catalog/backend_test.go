@@ -217,3 +217,100 @@ func TestReplayRejectsInvalidRecords(t *testing.T) {
 		t.Errorf("duplicate ID replay: err = %v, want ErrDuplicateProduct", err)
 	}
 }
+
+// Snapshot holds every shard lock and the directory lock together, so a
+// capture taken while writers commit into categories on distinct shards
+// is still one consistent state: it loads, every category's version
+// equals its product count, and the key table covers exactly the keyed
+// products it captured.
+func TestSnapshotAtomicAcrossShards(t *testing.T) {
+	const shards, writers, perWriter = 8, 4, 300
+	st := NewStoreShards(shards)
+	schema := Schema{Attributes: []Attribute{{Name: AttrUPC, Kind: KindIdentifier}}}
+	var cats []string
+	used := map[int]bool{}
+	for i := 0; len(cats) < writers; i++ {
+		id := fmt.Sprintf("c-%d", i)
+		if used[st.shardOf(id)] {
+			continue
+		}
+		used[st.shardOf(id)] = true
+		cats = append(cats, id)
+		if err := st.AddCategory(Category{ID: id, Name: id, TopLevel: "T", Schema: schema}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var wg sync.WaitGroup
+	done := make(chan struct{})
+	for w, cat := range cats {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < perWriter; i++ {
+				p := Product{ID: fmt.Sprintf("p-%d-%d", w, i), CategoryID: cat}
+				if i%5 != 0 { // every fifth product is keyless
+					p.Spec = Spec{{Name: AttrUPC, Value: fmt.Sprintf("k-%d-%d", w, i)}}
+				}
+				if err := st.AddProduct(p); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	snaps := make(chan Snapshot, 64)
+	var readers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				select {
+				case snaps <- st.Snapshot():
+				case <-done:
+					return
+				}
+			}
+		}()
+	}
+	checked := 0
+	check := func(snap Snapshot) {
+		checked++
+		if _, err := FromSnapshot(snap); err != nil {
+			t.Fatalf("snapshot %d does not load: %v", checked, err)
+		}
+		keyed := 0
+		for _, cs := range snap.Categories {
+			if cs.Version != uint64(len(cs.Products)) {
+				t.Fatalf("snapshot %d: category %s at version %d with %d products", checked, cs.Category.ID, cs.Version, len(cs.Products))
+			}
+			for _, p := range cs.Products {
+				if _, ok := p.Key(); ok {
+					keyed++
+				}
+			}
+		}
+		if len(snap.Keys) != keyed {
+			t.Fatalf("snapshot %d: key table has %d keys for %d keyed products", checked, len(snap.Keys), keyed)
+		}
+	}
+	go func() {
+		wg.Wait()
+		close(done)
+		readers.Wait()
+		close(snaps)
+	}()
+	for snap := range snaps {
+		check(snap)
+	}
+	check(st.Snapshot())
+	if got := st.NumProducts(); got != writers*perWriter {
+		t.Fatalf("NumProducts = %d, want %d", got, writers*perWriter)
+	}
+}

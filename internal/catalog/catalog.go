@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Well-known key attribute names (catalog-side vocabulary). The clustering
@@ -230,9 +231,8 @@ var (
 
 // Store is the catalog: categories plus products, with indexes by
 // category and by key attribute. All methods are safe for concurrent use.
-// Storage lives behind a Backend; the default is an in-memory backend
-// sharded by category hash (see NewMemBackend), so readers and writers
-// of different categories never share a lock.
+// Categories are sharded by ID hash (see NewStoreShards), so readers and
+// writers of different categories never share a lock.
 //
 // Every mutation of a category's product set bumps that category's version
 // counter (see CategoryVersion). External caches built over a category's
@@ -240,61 +240,35 @@ var (
 // version they were built at and rebuild when it moves, so stale entries are
 // evicted without the Store knowing who caches what.
 type Store struct {
-	b Backend
+	shards []shard
+	dir    directory
+	obs    atomic.Value // observerBox
 }
 
-// NewStore returns an empty catalog store on the default sharded
-// in-memory backend.
+// NewStore returns an empty catalog store with DefaultShards shards.
 func NewStore() *Store {
 	return NewStoreShards(DefaultShards)
 }
 
-// NewStoreShards returns an empty catalog store whose in-memory backend
-// uses the given shard count.
+// NewStoreShards returns an empty catalog store with the given shard
+// count. shards values below 1 are raised to 1.
 func NewStoreShards(shards int) *Store {
-	return &Store{b: NewMemBackend(shards)}
-}
-
-// NewStoreBackend returns a store over a caller-supplied backend.
-func NewStoreBackend(b Backend) *Store {
-	return &Store{b: b}
-}
-
-// Backend exposes the store's storage engine — the surface durability
-// layers build on (shard snapshots, mutation observers, log replay).
-func (st *Store) Backend() Backend { return st.b }
-
-// NumShards reports the backend's shard count.
-func (st *Store) NumShards() int { return st.b.NumShards() }
-
-// ShardSnapshot captures one backend shard; see Backend.ShardSnapshot.
-func (st *Store) ShardSnapshot(shard int) Snapshot { return st.b.ShardSnapshot(shard) }
-
-// SetObserver attaches a mutation observer; see Backend.SetObserver.
-func (st *Store) SetObserver(obs Observer) { st.b.SetObserver(obs) }
-
-// Replay applies one logged mutation idempotently; see Backend.Replay.
-func (st *Store) Replay(rec ReplayRecord) error { return st.b.Replay(rec) }
-
-// AddCategory registers a category. The category is copied; later mutation
-// of the argument does not affect the store.
-func (st *Store) AddCategory(c Category) error {
-	return st.b.AddCategory(c)
-}
-
-// Category returns the category with the given ID.
-func (st *Store) Category(id string) (Category, bool) {
-	return st.b.Category(id)
-}
-
-// Categories returns all categories sorted by ID.
-func (st *Store) Categories() []Category {
-	return st.b.Categories()
-}
-
-// NumCategories returns the number of categories.
-func (st *Store) NumCategories() int {
-	return st.b.NumCategories()
+	if shards < 1 {
+		shards = 1
+	}
+	st := &Store{shards: make([]shard, shards)}
+	for i := range st.shards {
+		st.shards[i] = shard{
+			categories: make(map[string]*Category),
+			products:   make(map[string]*Product),
+			byCategory: make(map[string][]string),
+			versions:   make(map[string]uint64),
+		}
+	}
+	st.dir.ids = make(map[string]int)
+	st.dir.byKey = make(map[string]string)
+	st.obs.Store(observerBox{})
+	return st
 }
 
 // AddOutcome reports non-fatal conditions observed while inserting a
@@ -317,77 +291,4 @@ type AddOutcome struct {
 func (st *Store) AddProduct(p Product) error {
 	_, err := st.AddProductOutcome(p)
 	return err
-}
-
-// AddProductOutcome inserts a product like AddProduct and additionally
-// reports non-fatal outcomes: a duplicate UPC/MPN key does not overwrite
-// the key index (the earlier product keeps owning the key) and is
-// surfaced through AddOutcome.KeyShadowedBy instead of silently skewing
-// later ProductByKey lookups.
-func (st *Store) AddProductOutcome(p Product) (AddOutcome, error) {
-	return st.b.AddProduct(p)
-}
-
-// AddProductAutoID inserts a product under a generated ID of the form
-// "<prefix>-nokey-<n>", chosen while holding the store lock so that
-// concurrent callers can never mint the same ID — the reservation and
-// the insertion are one critical section. The chosen n is a per-store
-// sequence that skips IDs already in use (e.g. after a snapshot load),
-// so a generated ID never collides with an existing product. Returns the
-// assigned ID; p.ID is ignored.
-func (st *Store) AddProductAutoID(prefix string, p Product) (string, AddOutcome, error) {
-	return st.b.AddProductAutoID(prefix, p)
-}
-
-// CategoryVersion returns the category's mutation counter: it starts at 0
-// and increments on every product insertion into the category. Caches keyed
-// on a category's product set use it to detect staleness.
-func (st *Store) CategoryVersion(categoryID string) uint64 {
-	return st.b.CategoryVersion(categoryID)
-}
-
-// Product returns the product with the given ID.
-func (st *Store) Product(id string) (Product, bool) {
-	return st.b.Product(id)
-}
-
-// ProductByKey returns the product whose UPC or MPN equals key. When
-// several products were inserted with the same key, the first insertion
-// owns it (later ones are reported shadowed by AddProductOutcome).
-func (st *Store) ProductByKey(key string) (Product, bool) {
-	return st.b.ProductByKey(key)
-}
-
-// ProductsInCategory returns the products of one category in insertion order.
-func (st *Store) ProductsInCategory(categoryID string) []Product {
-	return st.b.ProductsInCategory(categoryID)
-}
-
-// ProductsInCategoryVersioned returns the products of one category in
-// insertion order together with the category version the snapshot
-// corresponds to, read atomically. Caches that later ask ProductsSince
-// for a delta must seed from this version, not from a separately read
-// CategoryVersion, or a concurrent insertion could slip between the two
-// reads and be double-counted or lost.
-func (st *Store) ProductsInCategoryVersioned(categoryID string) ([]Product, uint64) {
-	return st.b.ProductsInCategoryVersioned(categoryID)
-}
-
-// ProductsSince returns the products appended to a category after its
-// first `since` insertions — the category's append log from version
-// `since` to the returned current version. It is the incremental-update
-// surface for caches built over a category's products: on a version bump,
-// apply the delta instead of rebuilding from the full product list.
-//
-// ok is false when the delta cannot be derived: since is ahead of the
-// category's version, or the category's history is not pure appends (no
-// such mutation exists today; the check guards future ones). Callers must
-// then rebuild from ProductsInCategoryVersioned.
-func (st *Store) ProductsSince(categoryID string, since uint64) (added []Product, version uint64, ok bool) {
-	return st.b.ProductsSince(categoryID, since)
-}
-
-// NumProducts returns the number of products in the store.
-func (st *Store) NumProducts() int {
-	return st.b.NumProducts()
 }

@@ -71,14 +71,6 @@ type KeyOwner struct {
 	ProductID string
 }
 
-// Snapshot captures the store's state atomically: categories sorted by
-// ID, products in per-category insertion order, version counters, and
-// the key ownership table sorted by key. Everything is deeply copied;
-// later store mutation does not affect the snapshot.
-func (st *Store) Snapshot() Snapshot {
-	return st.b.Snapshot()
-}
-
 // MergeSnapshots combines per-shard snapshots (see Store.ShardSnapshot)
 // back into one global snapshot, restoring the deterministic ordering
 // Snapshot guarantees: categories sorted by ID, keys sorted by key. The
@@ -108,20 +100,20 @@ func FromSnapshot(snap Snapshot) (*Store, error) {
 	return FromSnapshotShards(snap, DefaultShards)
 }
 
-// FromSnapshotShards is FromSnapshot onto an in-memory backend with the
-// given shard count — the recovery entry point, where the shard count is
+// FromSnapshotShards is FromSnapshot onto a store with the given shard
+// count — the recovery entry point, where the shard count is
 // configuration rather than the default.
 func FromSnapshotShards(snap Snapshot, shards int) (*Store, error) {
 	if err := validateSnapshot(snap); err != nil {
 		return nil, err
 	}
-	b := NewMemBackend(shards).(*memBackend)
-	b.loadSnapshot(snap)
-	return NewStoreBackend(b), nil
+	st := NewStoreShards(shards)
+	st.loadSnapshot(snap)
+	return st, nil
 }
 
 // validateSnapshot runs the consistency checks FromSnapshot promises,
-// against transient indexes rather than a live backend.
+// against transient indexes rather than a live store.
 func validateSnapshot(snap Snapshot) error {
 	cats := make(map[string]*Category, len(snap.Categories))
 	prods := make(map[string]*Product)

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"prodsynth/internal/catalog"
 	"prodsynth/internal/categorize"
@@ -141,34 +140,33 @@ type Config struct {
 	// targets offers that cannot be matched).
 	KeepMatchedIncoming bool
 	// StrictPages makes a landing-page fetch failure fatal to a run —
-	// runtime (Synthesize, a batch, a stream wave) and offline (Learn)
-	// alike. By default the pipeline tolerates crawl gaps — an offer
-	// whose page cannot be fetched keeps its feed spec — and every
-	// degraded offer is accounted in the result's fetch report, so
-	// lenient mode is observable graceful degradation rather than
-	// invisible data loss. Deployments that would rather fail a run (and
-	// retry it) than learn or synthesize from feed specs alone set this;
-	// pair it with a retrying fetcher (fetch.Policy) so a transient
-	// flake does not abort a run a retry would have saved.
+	// runtime (Synthesize, a stream wave) and offline (Learn) alike. By
+	// default the pipeline tolerates crawl gaps — an offer whose page
+	// cannot be fetched keeps its feed spec — and every degraded offer is
+	// accounted in the result's fetch report, so lenient mode is observable
+	// graceful degradation rather than invisible data loss. Deployments
+	// that would rather fail a run (and retry it) than learn or synthesize
+	// from feed specs alone set this; pair it with a retrying fetcher
+	// (fetch.Policy) so a transient flake does not abort a run a retry
+	// would have saved.
 	StrictPages bool
 	// Fetch is the resilience policy for landing-page fetches: per-attempt
 	// deadlines, bounded retries with jittered backoff, a per-host circuit
 	// breaker, and a concurrency gate (see fetch.Policy). The zero value
-	// disables wrapping — fetch failures surface after a single attempt,
-	// as before. The top-level entry points wrap the caller's PageFetcher
-	// once per run (or once per stream), so breaker state and counters
-	// span an entire batch sequence or wave sequence. Retries change when
-	// a fetch runs, never what it returns, so output determinism is
-	// unaffected; the breaker reacts to cross-offer ordering and is the
-	// one knob that can make lenient-mode degradation timing-dependent
-	// (see fetch.Policy's determinism note).
+	// disables wrapping — fetch failures surface after a single attempt, as
+	// before. The top-level entry points wrap the caller's PageFetcher once
+	// per run (or once per stream), so breaker state and counters span an
+	// entire wave sequence. Retries change when a fetch runs, never what it
+	// returns, so output determinism is unaffected; the breaker reacts to
+	// cross-offer ordering and is the one knob that can make lenient-mode
+	// degradation timing-dependent (see fetch.Policy's determinism note).
 	Fetch fetch.Policy
 	// Spill, when non-nil, gives each streaming run's cluster memory an
 	// out-of-core backing store: clusters the LRU/idle bounds would seal
 	// are parked in a store the factory opens (one per stream) and
 	// revived when their keys reappear, keeping bounded-memory output
-	// byte-identical to unbounded. Ignored by batch synthesis, which has
-	// no cross-wave memory to bound.
+	// byte-identical to unbounded. Ignored by one-shot synthesis, which
+	// has no cross-wave memory to bound.
 	Spill cluster.SpillFactory
 }
 
@@ -190,50 +188,6 @@ func (c Config) withDefaults() Config {
 	}
 	c.Features.UseMatches = true
 	return c
-}
-
-// runLimited executes jobs 0..n-1 on at most workers goroutines, pulling
-// from a shared counter so unbalanced jobs (a huge category next to tiny
-// ones) do not leave workers idle. Jobs must write only to their own slots.
-//
-// Cancellation is checked between jobs: once ctx is done, workers stop
-// pulling new indexes, finish the job in hand, and the call returns
-// ctx.Err(). Every worker goroutine is always joined before returning, so
-// a cancelled pool leaks nothing; callers must treat a non-nil error as
-// "results incomplete" and discard their slots.
-func runLimited(ctx context.Context, n, workers int, job func(i int)) error {
-	if n == 0 {
-		return ctx.Err()
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			job(i)
-		}
-		return ctx.Err()
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for ctx.Err() == nil {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				job(i)
-			}
-		}()
-	}
-	wg.Wait()
-	return ctx.Err()
 }
 
 // fetchTally is the run-scoped account of extraction-stage fetch activity
@@ -295,92 +249,13 @@ func (t *fetchTally) report(cs fetch.CounterSource, before fetch.Counters) fetch
 // counterSnapshot returns the fetcher's counter source and its current
 // snapshot when it keeps counters, (nil, zero) otherwise. Counter deltas
 // are per-run-exact because the entry points run extraction stages
-// serially per run (waves prepare in input order, batches sequentially)
-// against the one wrapped fetcher.
+// serially per run (waves prepare in input order) against the one
+// wrapped fetcher.
 func counterSnapshot(pages PageFetcher) (fetch.CounterSource, fetch.Counters) {
 	if cs, ok := pages.(fetch.CounterSource); ok {
 		return cs, cs.FetchCounters()
 	}
 	return nil, fetch.Counters{}
-}
-
-// categorySlice names one category's offers by their positions in the
-// enclosing slice (ascending, so gathering preserves input order).
-type categorySlice struct {
-	category string
-	indices  []int
-}
-
-// partitionByCategory groups offer positions by category, categories
-// sorted by ID for a deterministic task order.
-func partitionByCategory(offers []offer.Offer) []categorySlice {
-	byCat := make(map[string][]int)
-	for i, o := range offers {
-		byCat[o.CategoryID] = append(byCat[o.CategoryID], i)
-	}
-	parts := make([]categorySlice, 0, len(byCat))
-	for cat, idx := range byCat {
-		parts = append(parts, categorySlice{category: cat, indices: idx})
-	}
-	sort.Slice(parts, func(i, j int) bool { return parts[i].category < parts[j].category })
-	return parts
-}
-
-// categoryMatcher is the matcher used inside per-category tasks. An
-// explicitly configured Matcher.Workers is honored as-is; otherwise the
-// Config.Workers budget is split between the per-category pool and the
-// matcher's per-offer parallelism inside one category: with few large
-// categories the matcher keeps its own workers, with many categories the
-// category fan-out is the parallelism.
-func categoryMatcher(cfg Config, parts int) match.Matcher {
-	matcher := cfg.Matcher
-	if matcher.Workers > 0 {
-		return matcher
-	}
-	matcher.Workers = 1
-	if parts == 0 {
-		matcher.Workers = cfg.Workers
-	} else if w := cfg.Workers / parts; w > 1 {
-		matcher.Workers = w
-	}
-	return matcher
-}
-
-// matchPerCategory fans historical matching out across the worker pool,
-// one task per category, and merges the per-category match sets back in
-// offer input order — byte-for-byte the MatchSet a single serial Run over
-// the whole set produces.
-func matchPerCategory(ctx context.Context, store *catalog.Store, offers []offer.Offer, cfg Config) (*match.MatchSet, error) {
-	parts := partitionByCategory(offers)
-	matcher := categoryMatcher(cfg, len(parts))
-
-	results := make([]match.Match, len(offers))
-	found := make([]bool, len(offers))
-	err := runLimited(ctx, len(parts), cfg.Workers, func(pi int) {
-		part := parts[pi]
-		sub := make([]offer.Offer, len(part.indices))
-		for j, gi := range part.indices {
-			sub[j] = offers[gi]
-		}
-		ms := matcher.Run(store, offer.NewSet(sub))
-		for j, gi := range part.indices {
-			if mt, ok := ms.ProductFor(sub[j].ID); ok {
-				results[gi] = mt
-				found[gi] = true
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	kept := make([]match.Match, 0, len(offers))
-	for i := range results {
-		if found[i] {
-			kept = append(kept, results[i])
-		}
-	}
-	return match.NewMatchSet(kept), nil
 }
 
 // OfflineResult is the output of the offline learning phase.
@@ -418,10 +293,12 @@ type OfflineStats struct {
 	Correspondences   int
 }
 
-// RunOffline executes the offline learning phase. Cancellation of ctx is
-// observed at stage boundaries and between the worker-pool jobs inside
-// each stage; on cancellation the error is ctx.Err() and every pool
-// goroutine has already been joined.
+// RunOffline executes the offline learning phase. Extraction runs on the
+// runtime's own stages (ClassifyStage → extractStage, drained with
+// pipe.Collect) and historical matching on the runtime's per-category
+// fan-out, so cancellation of ctx is observed at every stage pull and
+// between stages; the error is then ctx.Err() and every pool goroutine
+// has already been joined.
 //
 // Config.StrictPages applies here exactly as at runtime: by default a
 // historical offer whose page cannot be fetched is learned from its feed
@@ -436,22 +313,28 @@ func RunOffline(ctx context.Context, store *catalog.Store, historical []offer.Of
 
 	classifier := categorize.New()
 	classifier.TrainFromCatalog(store)
-	withCat := make([]offer.Offer, len(historical))
-	copy(withCat, historical)
-	classifier.Assign(withCat)
 
 	cs, before := counterSnapshot(pages)
 	tally := &fetchTally{}
-	enriched, err := extractSpecs(ctx, withCat, pages, cfg, tally)
+	perOffer := extractStage(pages, cfg, tally)(ClassifyStage(classifier)(pipe.FromSlice(historical)))
+	enriched, err := pipe.Collect(ctx, perOffer)
 	if err != nil {
 		return nil, err
 	}
 	set := offer.NewSet(enriched)
 
-	matches, err := matchPerCategory(ctx, store, enriched, cfg)
+	found, err := perCategory(ctx, enriched, cfg, func(m match.Matcher, sub []offer.Offer) ([]match.Match, []bool) {
+		ms := m.Run(store, offer.NewSet(sub))
+		vals, keep := make([]match.Match, len(sub)), make([]bool, len(sub))
+		for j, o := range sub {
+			vals[j], keep[j] = ms.ProductFor(o.ID)
+		}
+		return vals, keep
+	})
 	if err != nil {
 		return nil, err
 	}
+	matches := match.NewMatchSet(found)
 	if matches.Len() == 0 {
 		return nil, errors.New("core: no historical offer-to-product matches; offline learning has no signal")
 	}
@@ -548,7 +431,7 @@ type Prepared struct {
 // the incremental entry point RunRuntime and the streaming pipeline share,
 // expressed as a drain of the composable stages in stage.go:
 //
-//	ClassifyStage → ExtractStage → [gather] → per-category match+reconcile
+//	ClassifyStage → extractStage → [gather] → per-category match+reconcile
 //
 // Cancellation of ctx is observed at every stage pull; the error is then
 // ctx.Err().
@@ -563,7 +446,7 @@ func PrepareIncoming(ctx context.Context, store *catalog.Store, offline *Offline
 
 	cs, before := counterSnapshot(pages)
 	tally := &fetchTally{}
-	perOffer := extractStage(pages, cfg, tally)(ClassifyStage(offline)(pipe.FromSlice(incoming)))
+	perOffer := extractStage(pages, cfg, tally)(ClassifyStage(offline.Classifier)(pipe.FromSlice(incoming)))
 	enriched, err := pipe.Collect(ctx, perOffer)
 	if err != nil {
 		return nil, err
@@ -614,39 +497,4 @@ func RunRuntime(ctx context.Context, store *catalog.Store, offline *OfflineResul
 		return nil, err
 	}
 	return res, nil
-}
-
-// extractSpecs is the offline phase's bulk extraction: it fetches each
-// offer's landing page and merges extracted attribute-value pairs into the
-// offer spec (feed pairs win on name conflict), sharing the per-offer body
-// (extractOne) with the runtime ExtractStage. Offers whose page cannot be
-// fetched keep their feed spec (recorded in the tally) unless
-// Config.StrictPages is set, in which case the first fetch failure in
-// offer input order fails the run. Cancellation is checked between offers
-// and, for a context-aware fetcher, reaches in-flight fetches; a plain
-// Fetch is allowed to finish, after which the pool drains and ctx.Err()
-// is returned.
-func extractSpecs(ctx context.Context, offers []offer.Offer, pages PageFetcher, cfg Config, tally *fetchTally) ([]offer.Offer, error) {
-	out := make([]offer.Offer, len(offers))
-	var errs []error
-	if cfg.StrictPages {
-		errs = make([]error, len(offers))
-	}
-	poolErr := runLimited(ctx, len(offers), cfg.Workers, func(i int) {
-		o, err := extractOne(ctx, offers[i], pages, cfg, tally)
-		if err != nil {
-			errs[i] = err
-			return
-		}
-		out[i] = o
-	})
-	if poolErr != nil {
-		return nil, poolErr
-	}
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }

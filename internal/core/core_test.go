@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 
 	"prodsynth/internal/cluster"
@@ -366,6 +365,28 @@ func TestStrictPages(t *testing.T) {
 	if _, err := RunOffline(context.Background(), ds.Catalog, historical, fetcher, Config{StrictPages: true}); err == nil {
 		t.Error("offline phase tolerated a missing page under StrictPages")
 	}
+
+	// With two crawl gaps at positions i < j, the strict offline error is
+	// the first in offer input order, whatever the worker count.
+	i, j := 3, len(ds.HistoricalOffers)-5
+	twoGaps := append([]offer.Offer(nil), ds.HistoricalOffers...)
+	for _, g := range []struct {
+		pos int
+		url string
+	}{{i, "missing://first"}, {j, "missing://second"}} {
+		o := twoGaps[g.pos].Clone()
+		o.URL = g.url
+		twoGaps[g.pos] = o
+	}
+	for _, w := range []int{1, 4, 8} {
+		_, err := RunOffline(context.Background(), ds.Catalog, twoGaps, fetcher, Config{StrictPages: true, Workers: w})
+		if err == nil {
+			t.Fatalf("Workers=%d: offline phase tolerated two missing pages under StrictPages", w)
+		}
+		if !strings.Contains(err.Error(), `"missing://first"`) || strings.Contains(err.Error(), "missing://second") {
+			t.Errorf("Workers=%d: strict offline error %q, want offer %d's URL", w, err, i)
+		}
+	}
 }
 
 func TestRuntimeRequiresOffline(t *testing.T) {
@@ -426,42 +447,6 @@ func TestPipelineWorkerCountInvariance(t *testing.T) {
 				t.Fatalf("Workers=%d: product %d differs:\n  got  %s\n  want %s", w, i, got.products[i], base.products[i])
 			}
 		}
-	}
-}
-
-func TestRunLimited(t *testing.T) {
-	for _, tc := range []struct{ n, workers int }{
-		{0, 4}, {1, 4}, {10, 1}, {10, 4}, {10, 100}, {100, 0},
-	} {
-		hits := make([]int32, tc.n)
-		if err := runLimited(context.Background(), tc.n, tc.workers, func(i int) {
-			atomic.AddInt32(&hits[i], 1)
-		}); err != nil {
-			t.Fatalf("n=%d workers=%d: err = %v", tc.n, tc.workers, err)
-		}
-		for i, h := range hits {
-			if h != 1 {
-				t.Errorf("n=%d workers=%d: job %d ran %d times", tc.n, tc.workers, i, h)
-			}
-		}
-	}
-}
-
-// TestRunLimitedCancelled pins the pool's cancellation contract: a
-// cancelled context stops workers from pulling new jobs, the call returns
-// ctx.Err(), and jobs never run after return (the pool is joined).
-func TestRunLimitedCancelled(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	ran := int32(0)
-	err := runLimited(ctx, 100, 4, func(i int) { atomic.AddInt32(&ran, 1) })
-	if err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	// Workers check ctx before each pull, so an already-cancelled pool
-	// runs nothing (serial path) or at most a handful of in-flight jobs.
-	if n := atomic.LoadInt32(&ran); n == 100 {
-		t.Errorf("all %d jobs ran despite pre-cancelled ctx", n)
 	}
 }
 

@@ -7,20 +7,28 @@
 // through the same stages continuously. Each stage owns its scratch:
 // nothing is materialized at wave size except where the algorithm itself
 // needs the whole wave (the per-category partition and the global
-// clustering step).
+// clustering step). The offline phase (RunOffline) reuses the per-offer
+// front half and the per-category fan-out, so pipe.ParMap is the
+// package's one worker pool.
 //
 // Stage map (runtime phase, Figure 4 right half):
 //
 //	offers ── Classify ── Extract ── [gather] ── Match+Reconcile ──► Prepared
 //	                (per offer)        (per category, ordered merge)
 //	clusters ── Fuse ──► products   (per cluster, ordered)
+//
+// Offline phase (Figure 4 left half), up to the feature computation:
+//
+//	historical ── Classify ── Extract ── [gather] ── Match ──► MatchSet
 package core
 
 import (
 	"context"
 	"fmt"
+	"sort"
 
 	"prodsynth/internal/catalog"
+	"prodsynth/internal/categorize"
 	"prodsynth/internal/cluster"
 	"prodsynth/internal/extract"
 	"prodsynth/internal/fetch"
@@ -32,12 +40,12 @@ import (
 )
 
 // ClassifyStage is the category classification stage: offers that lack a
-// CategoryID get one from the offline classifier. Offers flow by value,
-// so assignment never mutates the caller's slice — and when no classifier
-// was learned (every incoming offer carries a feed category) the stage is
-// a pass-through that copies nothing at all.
-func ClassifyStage(offline *OfflineResult) pipe.Stage[offer.Offer, offer.Offer] {
-	classifier := offline.Classifier
+// CategoryID get one from the classifier, when it has a non-empty class
+// for the title — exactly categorize.Classifier.Assign, one offer at a
+// time. Offers flow by value, so assignment never mutates the caller's
+// slice — and when there is no classifier (every incoming offer carries a
+// feed category) the stage is a pass-through that copies nothing at all.
+func ClassifyStage(classifier *categorize.Classifier) pipe.Stage[offer.Offer, offer.Offer] {
 	if classifier == nil {
 		return func(src pipe.Source[offer.Offer]) pipe.Source[offer.Offer] { return src }
 	}
@@ -51,127 +59,180 @@ func ClassifyStage(offline *OfflineResult) pipe.Stage[offer.Offer, offer.Offer] 
 	})
 }
 
-// ExtractStage is the web-page attribute extraction stage: each offer's
+// extractStage is the web-page attribute extraction stage: each offer's
 // landing page is fetched and extracted pairs are merged into the offer
 // spec (feed pairs win on name conflict). Fetches fan out across
 // cfg.Workers goroutines; results are delivered in input order, so output
 // is identical for every worker count. A failed fetch keeps the feed spec
-// unless cfg.StrictPages is set, in which case the first failure in input
-// order ends the stage with a deterministic error.
+// (recorded in the tally) unless cfg.StrictPages is set, in which case
+// the first failure in input order ends the stage with a deterministic
+// error.
 //
 // The stage context reaches each fetch: a context-aware fetcher
 // (fetch.ContextPages, e.g. fetch.Resilient) observes pipeline
 // cancellation and stage teardown mid-fetch — mid-retry, mid-backoff —
 // instead of being abandoned; a plain PageFetcher is checked before the
 // call and allowed to finish once started.
-func ExtractStage(pages PageFetcher, cfg Config) pipe.Stage[offer.Offer, offer.Offer] {
-	return extractStage(pages, cfg, nil)
-}
-
-// extractStage is ExtractStage plus the run-scoped degradation tally the
-// result's fetch report is built from (nil: no accounting).
 func extractStage(pages PageFetcher, cfg Config, tally *fetchTally) pipe.Stage[offer.Offer, offer.Offer] {
 	return pipe.ParMap(cfg.Workers, func(ctx context.Context, o offer.Offer) (offer.Offer, error) {
-		return extractOne(ctx, o, pages, cfg, tally)
+		o = o.Clone()
+		if pages == nil {
+			return o, nil
+		}
+		tally.attempt()
+		page, err := fetch.Call(ctx, pages, o.URL)
+		if err != nil {
+			if cfg.StrictPages {
+				return offer.Offer{}, fmt.Errorf("core: strict pages: offer %s: %w", o.ID, err)
+			}
+			tally.degraded(o.ID)
+			return o, nil
+		}
+		extracted := extract.WithOptions(page, cfg.Extraction)
+		have := make(map[string]bool, len(o.Spec))
+		for _, av := range o.Spec {
+			have[av.Name] = true
+		}
+		for _, av := range extracted {
+			if !have[av.Name] {
+				o.Spec = append(o.Spec, av)
+			}
+		}
+		return o, nil
 	})
 }
 
-// extractOne is the per-offer extraction body shared by ExtractStage and
-// the offline phase's extractSpecs.
-func extractOne(ctx context.Context, o offer.Offer, pages PageFetcher, cfg Config, tally *fetchTally) (offer.Offer, error) {
-	o = o.Clone()
-	if pages == nil {
-		return o, nil
-	}
-	tally.attempt()
-	page, err := fetch.Call(ctx, pages, o.URL)
-	if err != nil {
-		if cfg.StrictPages {
-			return offer.Offer{}, fmt.Errorf("core: strict pages: offer %s: %w", o.ID, err)
-		}
-		tally.degraded(o.ID)
-		return o, nil
-	}
-	extracted := extract.WithOptions(page, cfg.Extraction)
-	have := make(map[string]bool, len(o.Spec))
-	for _, av := range o.Spec {
-		have[av.Name] = true
-	}
-	for _, av := range extracted {
-		if !have[av.Name] {
-			o.Spec = append(o.Spec, av)
-		}
-	}
-	return o, nil
+// categorySlice names one category's offers by their positions in the
+// enclosing slice (ascending, so gathering preserves input order).
+type categorySlice struct {
+	category string
+	indices  []int
 }
 
-// partPrepared is one category's match-exclusion + reconciliation result.
-type partPrepared struct {
-	keptIdx  []int // global indices of the survivors, ascending
-	kept     []offer.Offer
-	excluded int
-	stats    reconcile.Stats
+// partitionByCategory groups offer positions by category, categories
+// sorted by ID for a deterministic task order.
+func partitionByCategory(offers []offer.Offer) []categorySlice {
+	byCat := make(map[string][]int)
+	for i, o := range offers {
+		byCat[o.CategoryID] = append(byCat[o.CategoryID], i)
+	}
+	parts := make([]categorySlice, 0, len(byCat))
+	for cat, idx := range byCat {
+		parts = append(parts, categorySlice{category: cat, indices: idx})
+	}
+	sort.Slice(parts, func(i, j int) bool { return parts[i].category < parts[j].category })
+	return parts
 }
 
-// matchReconcile is the per-category back half of offer preparation:
-// matching (to exclude offers describing products the catalog already
-// has, §1) and schema reconciliation fan out across the worker pool, one
-// task per category, and the per-category survivors are merged back in
-// global input order — output independent of Workers.
-func matchReconcile(ctx context.Context, store *catalog.Store, offline *OfflineResult, enriched []offer.Offer, cfg Config) (*Prepared, error) {
-	parts := partitionByCategory(enriched)
+// categoryMatcher is the matcher used inside per-category tasks. An
+// explicitly configured Matcher.Workers is honored as-is; otherwise the
+// Config.Workers budget is split between the per-category pool and the
+// matcher's per-offer parallelism inside one category: with few large
+// categories the matcher keeps its own workers, with many categories the
+// category fan-out is the parallelism.
+func categoryMatcher(cfg Config, parts int) match.Matcher {
+	matcher := cfg.Matcher
+	if matcher.Workers > 0 {
+		return matcher
+	}
+	matcher.Workers = 1
+	if parts == 0 {
+		matcher.Workers = cfg.Workers
+	} else if w := cfg.Workers / parts; w > 1 {
+		matcher.Workers = w
+	}
+	return matcher
+}
+
+// perCategory is the per-category fan-out historical matching and runtime
+// match+reconcile share. Offers are partitioned by category and fn runs
+// once per category on the worker pool (pipe.ParMap, one task per
+// category) with that category's offers in input order. fn returns one
+// value per offer of sub, keep[j] saying whether sub[j]'s value survives.
+// The surviving values are merged back in global input order — exactly
+// the sequence a serial run over all offers yields, for every Workers
+// value.
+func perCategory[T any](ctx context.Context, offers []offer.Offer, cfg Config, fn func(m match.Matcher, sub []offer.Offer) (vals []T, keep []bool)) ([]T, error) {
+	parts := partitionByCategory(offers)
 	matcher := categoryMatcher(cfg, len(parts))
-
-	stage := pipe.ParMap(cfg.Workers, func(_ context.Context, part categorySlice) (partPrepared, error) {
+	type partOut struct {
+		vals []T
+		keep []bool
+	}
+	stage := pipe.ParMap(cfg.Workers, func(_ context.Context, part categorySlice) (partOut, error) {
 		sub := make([]offer.Offer, len(part.indices))
 		for j, gi := range part.indices {
-			sub[j] = enriched[gi]
+			sub[j] = offers[gi]
 		}
-		var matches *match.MatchSet
-		if !cfg.KeepMatchedIncoming {
-			matches = matcher.Run(store, offer.NewSet(sub))
-		}
-		pr := partPrepared{keptIdx: make([]int, 0, len(part.indices))}
-		kept := sub[:0]
-		for j, gi := range part.indices {
-			if matches != nil {
-				if _, ok := matches.ProductFor(sub[j].ID); ok {
-					pr.excluded++
-					continue
-				}
-			}
-			kept = append(kept, sub[j])
-			pr.keptIdx = append(pr.keptIdx, gi)
-		}
-		pr.kept, pr.stats = reconcile.Offers(kept, offline.Correspondences)
-		return pr, nil
+		vals, keep := fn(matcher, sub)
+		return partOut{vals, keep}, nil
 	})
-	results, err := pipe.Collect(ctx, stage(pipe.FromSlice(parts)))
+	outs, err := pipe.Collect(ctx, stage(pipe.FromSlice(parts)))
 	if err != nil {
 		return nil, err
 	}
 
-	// Ordered merge: per-category survivor sets are disjoint index sets,
-	// so walking the global input order reassembles exactly the sequence
-	// a serial run over the whole wave would keep.
-	prep := &Prepared{}
-	keep := make([]bool, len(enriched))
-	reconciled := make([]offer.Offer, len(enriched))
-	for _, pr := range results {
-		prep.ExcludedMatched += pr.excluded
-		prep.Reconcile.Add(pr.stats)
-		for j, gi := range pr.keptIdx {
-			reconciled[gi] = pr.kept[j]
-			keep[gi] = true
+	// Ordered merge: categories hold disjoint position sets, so walking
+	// the global input order reassembles the serial sequence.
+	vals := make([]T, len(offers))
+	keep := make([]bool, len(offers))
+	for pi, part := range parts {
+		for j, gi := range part.indices {
+			vals[gi], keep[gi] = outs[pi].vals[j], outs[pi].keep[j]
 		}
 	}
-	kept := make([]offer.Offer, 0, len(enriched))
-	for i := range enriched {
+	kept := make([]T, 0, len(offers))
+	for i := range vals {
 		if keep[i] {
-			kept = append(kept, reconciled[i])
+			kept = append(kept, vals[i])
 		}
 	}
-	prep.Kept = kept
+	return kept, nil
+}
+
+// reconciled is one surviving offer of matchReconcile with its
+// reconciliation counts.
+type reconciled struct {
+	offer offer.Offer
+	stats reconcile.Stats
+}
+
+// matchReconcile is the back half of offer preparation over the
+// per-category fan-out: matching (to exclude offers describing products
+// the catalog already has, §1) and schema reconciliation of the
+// survivors, merged back in global input order — output independent of
+// Workers.
+func matchReconcile(ctx context.Context, store *catalog.Store, offline *OfflineResult, enriched []offer.Offer, cfg Config) (*Prepared, error) {
+	kept, err := perCategory(ctx, enriched, cfg, func(m match.Matcher, sub []offer.Offer) ([]reconciled, []bool) {
+		var matches *match.MatchSet
+		if !cfg.KeepMatchedIncoming {
+			matches = m.Run(store, offer.NewSet(sub))
+		}
+		vals, keep := make([]reconciled, len(sub)), make([]bool, len(sub))
+		for j, o := range sub {
+			if matches != nil {
+				if _, ok := matches.ProductFor(o.ID); ok {
+					continue
+				}
+			}
+			spec, st := reconcile.Offer(o, offline.Correspondences)
+			ro := o.Clone()
+			ro.Spec = spec
+			vals[j], keep[j] = reconciled{ro, st}, true
+		}
+		return vals, keep
+	})
+	if err != nil {
+		return nil, err
+	}
+	prep := &Prepared{
+		Kept:            make([]offer.Offer, len(kept)),
+		ExcludedMatched: len(enriched) - len(kept),
+	}
+	for i, r := range kept {
+		prep.Kept[i] = r.offer
+		prep.Reconcile.Add(r.stats)
+	}
 	return prep, nil
 }
 

@@ -7,7 +7,7 @@
 //	MANIFEST                 which snapshot epoch is live, and the first
 //	                         log segment it does not cover
 //	shard-<i>-<epoch>.psct   one snapfmt-framed catalog snapshot per
-//	                         backend shard, taken at the epoch's compaction
+//	                         catalog shard, taken at the epoch's compaction
 //	wal-<seq>.psdl           append-only log segments of CRC-framed
 //	                         ProductsSince deltas (category registrations
 //	                         and product appends), in commit order
@@ -70,7 +70,7 @@ const (
 // count, fsync on every append, 4 MiB segments, and no background
 // compaction (call Compact explicitly or set SnapshotInterval).
 type Options struct {
-	// Shards is the catalog backend shard count for the recovered store
+	// Shards is the catalog shard count for the recovered store
 	// (and the number of per-shard snapshot files written at compaction).
 	// 0 means catalog.DefaultShards. Snapshot bytes are independent of
 	// the shard count, so it may change between restarts.
@@ -90,25 +90,7 @@ type Options struct {
 	// not yet covered by a snapshot) reaches this count. 0 disables
 	// depth-triggered compaction.
 	CompactRecords int
-	// Clock supplies the time source for the durations the layer
-	// measures (RecoveryStats.Duration). nil means the wall clock;
-	// inject a fake so recovery timings — and the tests pinning them —
-	// stay deterministic.
-	Clock Clock
 }
-
-// Clock abstracts time for the durability layer, so timing-dependent
-// stats are testable without the wall clock.
-type Clock interface {
-	// Now returns the current time.
-	Now() time.Time
-}
-
-// wallClock is the default Clock.
-type wallClock struct{}
-
-//lint:allow clockcheck wallClock is the package's one real-clock site, behind the injectable Clock
-func (wallClock) Now() time.Time { return time.Now() }
 
 func (o Options) withDefaults() Options {
 	if o.Shards <= 0 {
@@ -119,9 +101,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.FsyncInterval <= 0 {
 		o.FsyncInterval = DefaultFsyncInterval
-	}
-	if o.Clock == nil {
-		o.Clock = wallClock{}
 	}
 	return o
 }

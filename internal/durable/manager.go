@@ -43,7 +43,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	start := opts.Clock.Now()
+	start := time.Now()
 	kp := parseKillpoint()
 
 	man, haveMan, err := readManifest(dir)
@@ -101,7 +101,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 		return nil, err
 	}
 	store.SetObserver(log)
-	rec.Duration = opts.Clock.Now().Sub(start)
+	rec.Duration = time.Since(start)
 
 	return &Manager{
 		dir:      dir,

@@ -80,8 +80,7 @@ type Report struct {
 func (r Report) Degraded() bool { return len(r.FeedOnly) > 0 }
 
 // Add folds o into r (counter sums, FeedOnly concatenation in argument
-// order) — the aggregation used by batch totals and the stream's final
-// result.
+// order) — the aggregation used by the stream's final result.
 func (r *Report) Add(o Report) {
 	r.Counters.Add(o.Counters)
 	r.FeedOnly = append(r.FeedOnly, o.FeedOnly...)

@@ -79,7 +79,7 @@ func runFixture(t *testing.T, a *Analyzer, dir, importPath string) {
 }
 
 func TestClockCheckFixture(t *testing.T) {
-	runFixture(t, ClockCheck, "testdata/clockcheck", "prodsynth/internal/durable")
+	runFixture(t, ClockCheck, "testdata/clockcheck", "prodsynth/internal/fetch")
 }
 
 // TestClockCheckScope runs the failing fixture under an import path with
@@ -126,7 +126,7 @@ func TestSpawnCheckExempt(t *testing.T) {
 // nothing — the underlying finding survives and the bare allow is itself
 // reported.
 func TestAllowRequiresReason(t *testing.T) {
-	pkg, err := LoadDir("testdata/lintallow", "prodsynth/internal/durable")
+	pkg, err := LoadDir("testdata/lintallow", "prodsynth/internal/fetch")
 	if err != nil {
 		t.Fatalf("load fixture: %v", err)
 	}

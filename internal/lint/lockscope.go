@@ -7,7 +7,7 @@ import (
 )
 
 // lockScopePackages are where shard mutexes live: the sharded catalog
-// backend and the sharded match registry. Their critical sections are the
+// store and the sharded match registry. Their critical sections are the
 // hottest locks in the repo — a fetch, channel wait, or fsync inside one
 // stalls every writer on the shard.
 var lockScopePackages = map[string]bool{

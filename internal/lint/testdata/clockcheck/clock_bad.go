@@ -1,13 +1,13 @@
-package durable
+package fetch
 
 import (
 	"math/rand" // want "imports math/rand"
 	"time"
 )
 
-// recoverLog is the pre-fix manager.go shape: recovery duration measured
-// straight off the wall clock, so tests cannot pin it.
-func recoverLog() time.Duration {
+// backoffWait measures a retry backoff straight off the wall clock and
+// jitters it from the global RNG, so tests cannot pin it.
+func backoffWait() time.Duration {
 	start := time.Now() // want "direct time.Now"
 	_ = rand.Int()
 	return time.Since(start) // want "direct time.Since"

@@ -1,4 +1,4 @@
-package durable
+package fetch
 
 import "time"
 
@@ -7,9 +7,9 @@ type fixtureClock interface {
 	Now() time.Time
 }
 
-// recoverLogClocked routes every timing read through the injected clock:
+// backoffWaitClocked routes every timing read through the injected clock:
 // no findings.
-func recoverLogClocked(clk fixtureClock) time.Duration {
+func backoffWaitClocked(clk fixtureClock) time.Duration {
 	start := clk.Now()
 	return clk.Now().Sub(start)
 }

@@ -15,7 +15,7 @@ import (
 )
 
 // Options tunes a streaming run. The zero value keeps unbounded cluster
-// memory and an unbuffered output channel.
+// memory.
 type Options struct {
 	// MaxOpenClusters bounds the cluster memory (LRU); 0 = unbounded.
 	MaxOpenClusters int
@@ -23,33 +23,13 @@ type Options struct {
 	// waves; 0 = never. See MemoryOptions.MaxIdleWaves.
 	MaxIdleWaves int
 	// DisableMemory turns cross-batch cluster memory off: every wave
-	// clusters independently, reproducing SynthesizeBatches semantics
-	// (a product split across waves synthesizes once per wave). With no
-	// memory there is nothing to seal: no result carries Sealed events,
-	// and every wave's products are as final as they will ever be.
+	// clusters independently, so each wave's result equals a one-shot
+	// core.RunRuntime over that wave (a product split across waves
+	// synthesizes once per wave). With no memory there is nothing to
+	// seal: no result carries Sealed events, and every wave's products
+	// are as final as they will ever be.
 	DisableMemory bool
-	// Buffer is the output channel's capacity. 0 (unbuffered) applies
-	// consumer backpressure on the fuse stage; the prepare stage still
-	// works one wave ahead of fuse.
-	Buffer int
-	// Clock supplies the time source for the per-wave timings results
-	// report (PrepareElapsed, FuseElapsed, Elapsed). nil means the wall
-	// clock; inject a fake so timing-sensitive tests are deterministic.
-	Clock Clock
 }
-
-// Clock abstracts time for the streaming pipeline's wave timings, so
-// timing-dependent results are testable without the wall clock.
-type Clock interface {
-	// Now returns the current time.
-	Now() time.Time
-}
-
-// wallClock is the default Clock.
-type wallClock struct{}
-
-//lint:allow clockcheck wallClock is the package's one real-clock site, behind the injectable Clock
-func (wallClock) Now() time.Time { return time.Now() }
 
 // Sealed is one per-cluster seal event: the cross-batch memory decided
 // this cluster can no longer grow, so its product is final rather than
@@ -141,8 +121,9 @@ type preparedWave struct {
 
 // Run starts the streaming pipeline: a goroutine that consumes offer
 // waves from waves and emits one Result per wave, in input order, on the
-// returned channel. The pipeline is two pull-based stages with a one-wave
-// hand-off between them:
+// returned channel. The channel is unbuffered, so the consumer applies
+// backpressure on the fuse stage. The pipeline is two pull-based stages
+// with a one-wave hand-off between them:
 //
 //	waves ── prepare (classify·extract·match·reconcile)
 //	      ──[pipe.Buffer(0)]── fuse (memory·fusion·seals) ── out
@@ -156,11 +137,7 @@ type preparedWave struct {
 // cancel ctx or close waves to release them, even if the consumer has
 // stopped reading.
 func Run(ctx context.Context, store *catalog.Store, offline *core.OfflineResult, waves <-chan []offer.Offer, pages core.PageFetcher, cfg core.Config, opts Options) <-chan Result {
-	clk := opts.Clock
-	if clk == nil {
-		clk = wallClock{}
-	}
-	out := make(chan Result, opts.Buffer)
+	out := make(chan Result)
 	//lint:allow spawncheck pipeline goroutine: lifecycle is ctx cancellation or closing waves, both close out; leak-guarded by TestStreamCtxCancelNoLeak
 	go func() {
 		defer close(out)
@@ -189,7 +166,7 @@ func Run(ctx context.Context, store *catalog.Store, offline *core.OfflineResult,
 		// the stage — so later waves still run after a failed one.
 		nextWave := 0
 		prepared := pipe.Map(func(ctx context.Context, batch []offer.Offer) (preparedWave, error) {
-			start := clk.Now()
+			start := time.Now()
 			pw := preparedWave{wave: nextWave, offers: len(batch)}
 			nextWave++
 			prep, err := core.PrepareIncoming(ctx, store, offline, batch, pages, cfg)
@@ -201,7 +178,7 @@ func Run(ctx context.Context, store *catalog.Store, offline *core.OfflineResult,
 			} else {
 				pw.prep = prep
 			}
-			pw.elapsed = clk.Now().Sub(start)
+			pw.elapsed = time.Since(start)
 			return pw, nil
 		})(pipe.FromChan(waves))
 		// The stage boundary: prepare moves to its own goroutine and works
@@ -215,7 +192,7 @@ func Run(ctx context.Context, store *catalog.Store, offline *core.OfflineResult,
 				return // cancelled; contract: close without final result
 			}
 			if !ok {
-				final := finalResult(ctx, mem, cfg, total, clk)
+				final := finalResult(ctx, mem, cfg, total)
 				if final.Err != nil {
 					// Cancelled during the closing fuse: the contract is
 					// "cancellation closes the channel without the final
@@ -229,7 +206,7 @@ func Run(ctx context.Context, store *catalog.Store, offline *core.OfflineResult,
 				}
 				return
 			}
-			r := fuseWave(ctx, store, pw, cfg, mem, clk)
+			r := fuseWave(ctx, store, pw, cfg, mem)
 			if r.Err == nil {
 				accumulate(&total, r)
 			}
@@ -251,14 +228,14 @@ func Run(ctx context.Context, store *catalog.Store, offline *core.OfflineResult,
 // memory, value fusion, and seal handling. ctx is only consulted between
 // steps: a cancellation mid-step lets the bounded worker pools drain (they
 // hold no external resources) and surfaces as the wave's Err.
-func fuseWave(ctx context.Context, store *catalog.Store, pw preparedWave, cfg core.Config, mem *Memory, clk Clock) Result {
+func fuseWave(ctx context.Context, store *catalog.Store, pw preparedWave, cfg core.Config, mem *Memory) Result {
 	r := Result{Wave: pw.wave, Offers: pw.offers, PrepareElapsed: pw.elapsed}
 	if pw.err != nil {
 		r.Err = pw.err
 		r.Elapsed = r.PrepareElapsed
 		return r
 	}
-	start := clk.Now()
+	start := time.Now()
 	r.Reconcile = pw.prep.Reconcile
 	r.ExcludedMatched = pw.prep.ExcludedMatched
 	r.Fetch = pw.prep.Fetch
@@ -284,7 +261,7 @@ func fuseWave(ctx context.Context, store *catalog.Store, pw preparedWave, cfg co
 			r.Err = err
 		}
 	}
-	r.FuseElapsed = clk.Now().Sub(start)
+	r.FuseElapsed = time.Since(start)
 	r.Elapsed = r.PrepareElapsed + r.FuseElapsed
 	return r
 }
@@ -336,11 +313,11 @@ func accumulate(total *Result, r Result) {
 // there is nothing to merge or seal (every wave already emitted its own
 // clusters), so Products and Sealed are nil and Clusters keeps the summed
 // per-wave count.
-func finalResult(ctx context.Context, mem *Memory, cfg core.Config, total Result, clk Clock) Result {
+func finalResult(ctx context.Context, mem *Memory, cfg core.Config, total Result) Result {
 	final := total
 	final.Final = true
 	if mem != nil {
-		start := clk.Now()
+		start := time.Now()
 		closing := mem.CloseAll()
 		merged := make([]cluster.Cluster, len(closing))
 		for i, ev := range closing {
@@ -361,7 +338,7 @@ func finalResult(ctx context.Context, mem *Memory, cfg core.Config, total Result
 		for i, ev := range closing {
 			final.Sealed[i] = Sealed{ClusterID: ev.ID, Wave: total.Wave, Reason: SealClose, Product: products[i]}
 		}
-		closingElapsed := clk.Now().Sub(start)
+		closingElapsed := time.Since(start)
 		final.FuseElapsed += closingElapsed
 		final.Elapsed += closingElapsed
 	}

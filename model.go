@@ -77,8 +77,8 @@ func WithStrictPages(strict bool) Option { return func(c *Config) { c.StrictPage
 // per-attempt deadlines, bounded retries with full-jitter backoff, a
 // per-host circuit breaker, and a concurrency gate, with exact counters in
 // each result's FetchReport. The fetcher is wrapped once per run (once per
-// stream), so breaker state and counters span a whole batch or wave
-// sequence; see Config.Fetch and DefaultFetchPolicy.
+// stream), so breaker state and counters span a whole wave sequence; see
+// Config.Fetch and DefaultFetchPolicy.
 func WithFetchPolicy(p FetchPolicy) Option { return func(c *Config) { c.Fetch = p } }
 
 // WithMatchRegistry gives the pipeline a private match-index cache with

@@ -180,25 +180,41 @@ func TestSynthesizeStreamEquivalence(t *testing.T) {
 	}
 }
 
+// waveProducts concatenates the per-wave products in wave order.
+func waveProducts(perWave []StreamResult) []Synthesized {
+	var out []Synthesized
+	for _, r := range perWave {
+		out = append(out, r.Products...)
+	}
+	return out
+}
+
 // TestSynthesizeStreamMemoryDisabledMatchesBatches pins the memory-off
-// semantics: every wave clusters independently, so the per-wave results
-// reproduce SynthesizeBatches batch for batch.
+// semantics: every wave clusters independently, so each per-wave result
+// reproduces SynthesizeContext over that wave.
 func TestSynthesizeStreamMemoryDisabledMatchesBatches(t *testing.T) {
 	ds, sys := learned(t, Config{})
 	fetcher := MapFetcher(ds.Pages)
 	waves := contiguousWaves(ds.IncomingOffers, 3)
 
-	batched, err := sys.SynthesizeBatchesContext(context.Background(), waves, fetcher)
-	if err != nil {
-		t.Fatal(err)
+	var batches []*Result
+	var total Result
+	for _, w := range waves {
+		b, err := sys.SynthesizeContext(context.Background(), w, fetcher)
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches = append(batches, b)
+		total.Clusters += b.Clusters
+		total.Offers += b.Offers
 	}
 	perWave, final := runStream(t, sys, waves, fetcher, StreamOptions{DisableClusterMemory: true})
 
-	if len(perWave) != len(batched.Batches) {
-		t.Fatalf("%d waves vs %d batches", len(perWave), len(batched.Batches))
+	if len(perWave) != len(batches) {
+		t.Fatalf("%d waves vs %d batches", len(perWave), len(batches))
 	}
 	for i, r := range perWave {
-		b := batched.Batches[i]
+		b := batches[i]
 		got, want := productFingerprints(r.Products), productFingerprints(b.Products)
 		if len(got) != len(want) {
 			t.Fatalf("wave %d: %d products vs batch %d", i, len(got), len(want))
@@ -219,8 +235,8 @@ func TestSynthesizeStreamMemoryDisabledMatchesBatches(t *testing.T) {
 	if len(final.Products) != 0 {
 		t.Errorf("final.Products = %d with memory disabled, want 0", len(final.Products))
 	}
-	if final.Clusters != batched.Total.Clusters || final.Offers != batched.Total.Offers {
-		t.Errorf("final totals %+v differ from batch totals %+v", final.Result, batched.Total)
+	if final.Clusters != total.Clusters || final.Offers != total.Offers {
+		t.Errorf("final totals %+v differ from batch totals %+v", final.Result, total)
 	}
 }
 
@@ -280,14 +296,11 @@ func TestSynthesizeStreamMergesAcrossWaves(t *testing.T) {
 		return n
 	}
 
-	// Batch runs have no cross-batch memory: the product synthesizes in
-	// both batches.
-	batched, err := sys.SynthesizeBatchesContext(context.Background(), waves, fetcher)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := countKey(batched.Total.Products); got < 2 {
-		t.Fatalf("batches synthesized the split cluster %d times, want ≥ 2", got)
+	// A memory-less stream has no cross-wave memory: the product
+	// synthesizes in both waves.
+	batched, _ := runStream(t, sys, waves, fetcher, StreamOptions{DisableClusterMemory: true})
+	if got := countKey(waveProducts(batched)); got < 2 {
+		t.Fatalf("memory-less waves synthesized the split cluster %d times, want ≥ 2", got)
 	}
 
 	perWave, final := runStream(t, sys, waves, fetcher, StreamOptions{})
@@ -314,7 +327,7 @@ func TestSynthesizeStreamMergesAcrossWaves(t *testing.T) {
 	}
 }
 
-// TestSynthesizeStreamNotLearned mirrors the batch APIs' contract.
+// TestSynthesizeStreamNotLearned mirrors SynthesizeContext's contract.
 func TestSynthesizeStreamNotLearned(t *testing.T) {
 	ds := marketplace(t)
 	sys := NewSystem(ds.Catalog, nil)
@@ -332,36 +345,39 @@ func badOffer(ds *Marketplace) Offer {
 	return o
 }
 
-// TestSynthesizeBatchesPartialFailure pins the fixed abort semantics:
-// under StrictPages a failing batch records its error in that batch's
-// Result and later batches still run.
+// TestSynthesizeBatchesPartialFailure pins the fixed abort semantics on
+// the memory-less stream: under StrictPages a failing wave records its
+// error in that wave's Result and later waves still run.
 func TestSynthesizeBatchesPartialFailure(t *testing.T) {
 	ds, sys := learned(t, Config{StrictPages: true})
 	fetcher := MapFetcher(ds.Pages)
 	waves := contiguousWaves(ds.IncomingOffers, 2)
 	batches := [][]Offer{waves[0], {badOffer(ds)}, waves[1]}
 
-	res, err := sys.SynthesizeBatchesContext(context.Background(), batches, fetcher)
-	if err != nil {
-		t.Fatal(err)
+	res, final := runStream(t, sys, batches, fetcher, StreamOptions{DisableClusterMemory: true})
+	failed := 0
+	for _, r := range res {
+		if r.Err != nil {
+			failed++
+		}
 	}
-	if len(res.Batches) != 3 || res.Failed != 1 {
-		t.Fatalf("Batches = %d, Failed = %d; want 3, 1", len(res.Batches), res.Failed)
+	if len(res) != 3 || failed != 1 {
+		t.Fatalf("waves = %d, failed = %d; want 3, 1", len(res), failed)
 	}
-	if res.Batches[0].Err != nil || res.Batches[2].Err != nil {
-		t.Errorf("healthy batches failed: %v, %v", res.Batches[0].Err, res.Batches[2].Err)
+	if res[0].Err != nil || res[2].Err != nil {
+		t.Errorf("healthy waves failed: %v, %v", res[0].Err, res[2].Err)
 	}
-	if res.Batches[1].Err == nil {
-		t.Fatal("bad batch recorded no error")
+	if res[1].Err == nil {
+		t.Fatal("bad wave recorded no error")
 	}
-	if res.Batches[1].Offers != 1 || len(res.Batches[1].Products) != 0 {
-		t.Errorf("failed batch Result = %+v", *res.Batches[1])
+	if res[1].Offers != 1 || len(res[1].Products) != 0 {
+		t.Errorf("failed wave Result = %+v", res[1].Result)
 	}
-	if res.Total.Offers != len(ds.IncomingOffers) {
-		t.Errorf("Total.Offers = %d, want %d (failed batch excluded)", res.Total.Offers, len(ds.IncomingOffers))
+	if final.Offers != len(ds.IncomingOffers) {
+		t.Errorf("final Offers = %d, want %d (failed wave excluded)", final.Offers, len(ds.IncomingOffers))
 	}
-	if len(res.Total.Products) != len(res.Batches[0].Products)+len(res.Batches[2].Products) {
-		t.Error("Total.Products disagrees with the successful batches")
+	if final.Clusters != len(res[0].Products)+len(res[2].Products) {
+		t.Error("final Clusters disagrees with the successful waves' products")
 	}
 }
 

@@ -122,14 +122,14 @@ type Result struct {
 	// Clusters is the number of offer clusters value fusion synthesized
 	// from (one synthesized product per cluster).
 	Clusters int
-	// Elapsed is the wall-clock duration of the run. In a BatchResult it
-	// makes the per-batch cost of a wave visible next to its match and
-	// fusion counts.
+	// Elapsed is the wall-clock duration of the run. On a per-wave
+	// StreamResult it makes the cost of a wave visible next to its match
+	// and fusion counts.
 	Elapsed time.Duration
 	// ModelGeneration is the System.Generation of the Model this result
-	// was synthesized against. The model is pinned per call (per batch
-	// run, per stream), so every product in one Result comes from this one
-	// generation even when a Use swap lands mid-run.
+	// was synthesized against. The model is pinned per call (per stream),
+	// so every product in one Result comes from this one generation even
+	// when a Use swap lands mid-run.
 	ModelGeneration uint64
 	// Fetch accounts the run's landing-page fetches: operation counters
 	// (exact when a FetchPolicy or other counter-keeping fetcher is in
@@ -137,11 +137,12 @@ type Result struct {
 	// their page could not be fetched — lenient mode's observable
 	// graceful degradation.
 	Fetch FetchReport
-	// Err is set on a per-batch Result inside BatchResult (or a
-	// StreamResult) when that batch failed; the other fields are zero
-	// except Offers. A failed batch does not stop later batches. Always
-	// nil on a Result returned directly by SynthesizeContext, which
-	// reports failure through its error return instead.
+	// Err is set on a per-wave StreamResult when that wave failed — with
+	// DisableClusterMemory, exactly when SynthesizeContext over that wave
+	// would have returned the error. A failed wave does not stop later
+	// waves. Always nil on a Result returned directly by
+	// SynthesizeContext, which reports failure through its error return
+	// instead.
 	Err error
 }
 
@@ -154,14 +155,8 @@ func (s *System) SynthesizeContext(ctx context.Context, incoming []Offer, pages 
 	if err != nil {
 		return nil, err
 	}
-	return s.synthesize(ctx, sl, incoming, wrapFetch(pages, s.cfg))
-}
-
-// synthesize runs one batch against a pinned model slot — the shared core
-// of the one-shot and batch entry points.
-func (s *System) synthesize(ctx context.Context, sl *modelSlot, incoming []Offer, pages PageFetcher) (*Result, error) {
 	start := time.Now()
-	run, err := core.RunRuntime(ctx, s.store, sl.model.offline, incoming, pages, s.cfg)
+	run, err := core.RunRuntime(ctx, s.store, sl.model.offline, incoming, wrapFetch(pages, s.cfg), s.cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -179,70 +174,6 @@ func (s *System) synthesize(ctx context.Context, sl *modelSlot, incoming []Offer
 	}, nil
 }
 
-// BatchResult is the outcome of a SynthesizeBatchesContext run.
-type BatchResult struct {
-	// Batches holds one Result per input batch, in input order; each
-	// carries its own wall time and match/fusion counts. A batch that
-	// failed has Err set and contributes nothing but its offer count.
-	Batches []*Result
-	// Failed counts batches whose Result carries a non-nil Err.
-	Failed int
-	// Total aggregates every successful batch: concatenated Products
-	// (batch order) and summed counters. Total.Elapsed sums the
-	// per-batch run times (batches run sequentially, so it is also the
-	// run's wall time minus failed batches).
-	Total Result
-}
-
-// SynthesizeBatchesContext runs the runtime pipeline over a sequence of
-// offer batches — the serving shape of the system, where offer feeds
-// arrive in waves. The learned model and the matcher's per-category
-// indexes are reused across batches, so every batch after the first runs
-// against warm state; a batch containing all offers at once is equivalent
-// to a single SynthesizeContext call. Offers are clustered within their
-// batch: a product whose offers are split across batches synthesizes once
-// per batch it appears in — use SynthesizeStream for cross-batch cluster
-// memory.
-//
-// The Model is pinned once for the whole run, so a concurrent Use swap
-// never splits a batch sequence across two models. A batch that fails
-// (e.g. under Config.StrictPages) records its error in that batch's
-// Result.Err and the run continues — except for ctx cancellation, which
-// stops the run and returns ctx.Err().
-func (s *System) SynthesizeBatchesContext(ctx context.Context, batches [][]Offer, pages PageFetcher) (*BatchResult, error) {
-	sl, err := s.current()
-	if err != nil {
-		return nil, err
-	}
-	out := &BatchResult{Batches: make([]*Result, 0, len(batches))}
-	out.Total.ModelGeneration = sl.gen
-	// One wrap for the whole sequence: breaker state and fetch counters
-	// span every batch, like a serving process's crawl client would.
-	pages = wrapFetch(pages, s.cfg)
-	for _, batch := range batches {
-		res, err := s.synthesize(ctx, sl, batch, pages)
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			out.Batches = append(out.Batches, &Result{Offers: len(batch), ModelGeneration: sl.gen, Err: err})
-			out.Failed++
-			continue
-		}
-		out.Batches = append(out.Batches, res)
-		out.Total.Products = append(out.Total.Products, res.Products...)
-		out.Total.PairsDropped += res.PairsDropped
-		out.Total.PairsMapped += res.PairsMapped
-		out.Total.OffersWithoutKey += res.OffersWithoutKey
-		out.Total.ExcludedMatched += res.ExcludedMatched
-		out.Total.Offers += res.Offers
-		out.Total.Clusters += res.Clusters
-		out.Total.Elapsed += res.Elapsed
-		out.Total.Fetch.Add(res.Fetch)
-	}
-	return out, nil
-}
-
 // StreamOptions tunes SynthesizeStream. The zero value keeps unbounded
 // cluster memory and an unbuffered result channel.
 type StreamOptions struct {
@@ -255,8 +186,11 @@ type StreamOptions struct {
 	// this many consecutive waves — a TTL measured in waves, so behaviour
 	// is deterministic for a given wave sequence. 0 means never.
 	MaxIdleWaves int
-	// DisableClusterMemory makes every wave cluster independently,
-	// reproducing SynthesizeBatchesContext semantics wave for wave.
+	// DisableClusterMemory makes every wave cluster independently: each
+	// wave's result equals SynthesizeContext over that wave (a product
+	// whose offers span waves synthesizes once per wave), with the
+	// System's model pinned and the fetcher wrapped once for the whole
+	// stream.
 	DisableClusterMemory bool
 	// Buffer is the result channel's capacity. 0 (unbuffered) applies
 	// backpressure on the fuse stage: it runs at most one wave ahead of
@@ -339,8 +273,8 @@ type StreamResult struct {
 // consumer: offer waves are read from waves, processed in order against
 // the warm matcher state, and one StreamResult per wave is delivered on
 // the returned channel, followed by a closing Final result when waves is
-// closed. Unlike SynthesizeBatchesContext, clusters stay open across waves
-// in a cross-batch cluster memory: an offer arriving in wave n whose key
+// closed. Unless StreamOptions.DisableClusterMemory is set, clusters stay
+// open across waves in a cross-batch cluster memory: an offer arriving in wave n whose key
 // matches a cluster synthesized in an earlier wave joins that cluster,
 // and the wave's result carries the product re-fused over the union of
 // evidence — the product synthesizes once, not once per wave. The memory
@@ -374,10 +308,10 @@ func (s *System) SynthesizeStream(ctx context.Context, waves <-chan []Offer, pag
 	if opts.FetchPolicy != nil {
 		cfg.Fetch = *opts.FetchPolicy
 	}
-	// The inner channel stays unbuffered regardless of opts.Buffer: the
-	// forwarding goroutine already holds one result in flight, so any
-	// inner capacity would let the pipeline run that much further ahead
-	// than StreamOptions.Buffer promises.
+	// stream.Run's channel is unbuffered on purpose: the forwarding
+	// goroutine already holds one result in flight, so any inner capacity
+	// would let the pipeline run that much further ahead than
+	// StreamOptions.Buffer promises.
 	inner := stream.Run(ctx, s.store, sl.model.offline, waves, wrapFetch(pages, cfg), cfg, stream.Options{
 		MaxOpenClusters: opts.MaxOpenClusters,
 		MaxIdleWaves:    opts.MaxIdleWaves,
