@@ -17,7 +17,7 @@ import (
 // generator: fixed categories, products with and without keys, a shadowed
 // key, and unicode values, so its encoded bytes are stable across
 // platforms — the golden file pins the on-disk format itself.
-func handBuiltCatalog(t *testing.T) *Catalog {
+func handBuiltCatalog(t testing.TB) *Catalog {
 	t.Helper()
 	store := NewCatalog()
 	if err := store.AddCategory(Category{
@@ -411,6 +411,36 @@ func frameBundlePayload(t *testing.T, payload []byte) []byte {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// FuzzLoadBundle proves the daemon's boot input errors cleanly: no panic,
+// no partial state, every error wraps ErrBadBundle, and any input that
+// does decode re-encodes and re-decodes stably.
+func FuzzLoadBundle(f *testing.F) {
+	var buf bytes.Buffer
+	if err := SaveBundle(&buf, handBuiltCatalog(f), handBuiltModel()); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		store, m, err := LoadBundle(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrBadBundle) {
+				t.Fatalf("err = %v, want ErrBadBundle", err)
+			}
+			if store != nil || m != nil {
+				t.Fatal("error with non-nil state")
+			}
+			return
+		}
+		var out bytes.Buffer
+		if err := SaveBundle(&out, store, m); err != nil {
+			t.Fatalf("re-encoding a decoded bundle failed: %v", err)
+		}
+		if _, _, err := LoadBundle(bytes.NewReader(out.Bytes())); err != nil {
+			t.Fatalf("re-decoding a re-encoded bundle failed: %v", err)
+		}
+	})
 }
 
 // FuzzLoadCatalog proves corrupt or truncated catalog snapshots error

@@ -14,23 +14,44 @@
 // statistics. The offline phase's raw inputs (offers, matches, the feature
 // table) are learning-time diagnostics and are not persisted; a decoded
 // OfflineResult carries nil for them.
+//
+// Format v2 is dictionary-coded. A model's hundreds of thousands of rows
+// repeat a few hundred merchant, category and attribute names and some
+// tens of thousands of distinct scores, so each name and score is stored
+// once and rows refer to them by index. The payload sections, in order:
+//
+//	stats        6 × u64
+//	names        u32 count, then each name as u32 length + bytes
+//	scores       u32 count, then each score as its float64 bits (u64)
+//	correspond.  u32 count, then per row 5 uvarints:
+//	             merchant, category, merchant attr, catalog attr (name
+//	             indexes) and score (score index)
+//	scored       u32 count, then per row the same 5 uvarints
+//	logistic     present flag, training counts, bias, weights
+//	classifier   present flag, Laplace, priors flag, classes with tokens
+//
+// Names and scores are numbered in first-seen order over the
+// correspondences (sorted by merchant, category, merchant attribute) and
+// then the scored candidates in stored order, which is ScoredCandidates'
+// order. The bytes are therefore a pure function of the model, and
+// decoding builds every row without a sort or a per-row string.
 package core
 
 import (
 	"errors"
 	"io"
+	"math"
 	"sort"
 
 	"prodsynth/internal/categorize"
 	"prodsynth/internal/correspond"
 	"prodsynth/internal/ml"
-	"prodsynth/internal/offer"
 	"prodsynth/internal/snapfmt"
 )
 
 // SnapshotVersion is the on-disk format version written by EncodeOffline.
 // DecodeOffline rejects any other version.
-const SnapshotVersion = 1
+const SnapshotVersion = 2
 
 // ErrBadSnapshot is wrapped by every DecodeOffline error caused by the
 // input (bad magic, unsupported version, checksum mismatch, truncation,
@@ -52,8 +73,7 @@ func EncodeOffline(w io.Writer, off *OfflineResult) error {
 	}
 	var p snapfmt.Writer
 	writeStats(&p, off.Stats)
-	writeCorrespondences(&p, off.Correspondences)
-	writeScored(&p, off.Scored)
+	writeRows(&p, sortedCorrespondences(off.Correspondences), off.Scored)
 	writeLogistic(&p, off.Model)
 	writeClassifier(&p, off.Classifier)
 	return snapfmt.Encode(w, snapshotMagic, SnapshotVersion, maxSnapshotPayload, p.Bytes())
@@ -86,8 +106,7 @@ func DecodeOfflineFrom(r io.Reader) (*OfflineResult, error) {
 	d := snapfmt.NewReader(payload, ErrBadSnapshot)
 	off := &OfflineResult{}
 	off.Stats = readStats(d)
-	off.Correspondences = readCorrespondences(d)
-	off.Scored = readScored(d)
+	off.Correspondences, off.Scored = readRows(d)
 	off.Model = readLogistic(d)
 	off.Classifier = readClassifier(d)
 	if err := d.Finish(); err != nil {
@@ -96,12 +115,79 @@ func DecodeOfflineFrom(r io.Reader) (*OfflineResult, error) {
 	return off, nil
 }
 
-func writeRecord(p *snapfmt.Writer, sc correspond.Scored) {
-	p.Str(sc.Key.Merchant)
-	p.Str(sc.Key.CategoryID)
-	p.Str(sc.MerchantAttr)
-	p.Str(sc.CatalogAttr)
-	p.F64(sc.Score)
+// rowFields is the number of uvarint indexes in one correspondence or
+// scored-candidate row; a row is at least that many bytes.
+const rowFields = 5
+
+// rowDict numbers names and score bits in first-seen order and records
+// each row as rowFields indexes into those tables.
+type rowDict struct {
+	names   []string
+	nameIx  map[string]uint32
+	scores  []float64
+	scoreIx map[uint64]uint32
+	rows    []uint32
+}
+
+func (t *rowDict) name(s string) uint32 {
+	i, ok := t.nameIx[s]
+	if !ok {
+		i = uint32(len(t.names))
+		t.nameIx[s] = i
+		t.names = append(t.names, s)
+	}
+	return i
+}
+
+func (t *rowDict) score(f float64) uint32 {
+	bits := math.Float64bits(f)
+	i, ok := t.scoreIx[bits]
+	if !ok {
+		i = uint32(len(t.scores))
+		t.scoreIx[bits] = i
+		t.scores = append(t.scores, f)
+	}
+	return i
+}
+
+func (t *rowDict) add(sc correspond.Scored) {
+	t.rows = append(t.rows,
+		t.name(sc.Key.Merchant),
+		t.name(sc.Key.CategoryID),
+		t.name(sc.MerchantAttr),
+		t.name(sc.CatalogAttr),
+		t.score(sc.Score))
+}
+
+// writeRows writes the name table, the score table, the correspondence
+// rows and the scored-candidate rows, in that order.
+func writeRows(p *snapfmt.Writer, corr, scored []correspond.Scored) {
+	t := rowDict{
+		nameIx:  make(map[string]uint32),
+		scoreIx: make(map[uint64]uint32),
+		rows:    make([]uint32, 0, rowFields*(len(corr)+len(scored))),
+	}
+	for _, sc := range corr {
+		t.add(sc)
+	}
+	for _, sc := range scored {
+		t.add(sc)
+	}
+	p.U32(uint32(len(t.names)))
+	for _, s := range t.names {
+		p.Str(s)
+	}
+	p.U32(uint32(len(t.scores)))
+	for _, f := range t.scores {
+		p.F64(f)
+	}
+	split := rowFields * len(corr)
+	for _, section := range [][]uint32{t.rows[:split], t.rows[split:]} {
+		p.U32(uint32(len(section) / rowFields))
+		for _, ix := range section {
+			p.Uvarint(uint64(ix))
+		}
+	}
 }
 
 func writeStats(p *snapfmt.Writer, st OfflineStats) {
@@ -113,10 +199,12 @@ func writeStats(p *snapfmt.Writer, st OfflineStats) {
 	p.U64(uint64(st.Correspondences))
 }
 
-func writeCorrespondences(p *snapfmt.Writer, set *correspond.Set) {
+// sortedCorrespondences returns the set's rows in the order they are
+// encoded: by merchant, category, then merchant attribute, which is unique
+// within a set.
+func sortedCorrespondences(set *correspond.Set) []correspond.Scored {
 	if set == nil {
-		p.U32(0)
-		return
+		return nil
 	}
 	all := set.All()
 	sort.Slice(all, func(i, j int) bool {
@@ -129,17 +217,7 @@ func writeCorrespondences(p *snapfmt.Writer, set *correspond.Set) {
 		}
 		return a.MerchantAttr < b.MerchantAttr
 	})
-	p.U32(uint32(len(all)))
-	for _, sc := range all {
-		writeRecord(p, sc)
-	}
-}
-
-func writeScored(p *snapfmt.Writer, scored []correspond.Scored) {
-	p.U32(uint32(len(scored)))
-	for _, sc := range scored {
-		writeRecord(p, sc)
-	}
+	return all
 }
 
 func writeLogistic(p *snapfmt.Writer, m *correspond.Model) {
@@ -178,18 +256,49 @@ func writeClassifier(p *snapfmt.Writer, c *categorize.Classifier) {
 	}
 }
 
-// minRecordSize is four empty strings (4 bytes length each) + a float64.
-const minRecordSize = 4*4 + 8
-
-func readRecord(d *snapfmt.Reader) correspond.Scored {
-	return correspond.Scored{
-		Candidate: correspond.Candidate{
-			Key:          offer.SchemaKey{Merchant: d.Str(), CategoryID: d.Str()},
-			MerchantAttr: d.Str(),
-			CatalogAttr:  d.Str(),
-		},
-		Score: d.F64(),
+// readRows reads what writeRows wrote. Every row's strings share the name
+// table's, so decoding allocates per distinct name, not per row.
+func readRows(d *snapfmt.Reader) (*correspond.Set, []correspond.Scored) {
+	// Smallest name: its 4-byte length alone.
+	n := d.Count("names", 4)
+	names := make([]string, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		names = append(names, d.Str())
 	}
+	n = d.Count("scores", 8)
+	scores := make([]float64, 0, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		scores = append(scores, d.F64())
+	}
+	// row reads one row into sc, its fields in the order writeRows emits;
+	// after a failure it leaves sc unset.
+	row := func(sc *correspond.Scored) {
+		merchant, category := d.Index("name", len(names)), d.Index("name", len(names))
+		merchantAttr, catalogAttr := d.Index("name", len(names)), d.Index("name", len(names))
+		score := d.Index("score", len(scores))
+		if d.Err() != nil {
+			return
+		}
+		sc.Key.Merchant, sc.Key.CategoryID = names[merchant], names[category]
+		sc.MerchantAttr, sc.CatalogAttr = names[merchantAttr], names[catalogAttr]
+		sc.Score = scores[score]
+	}
+	set := correspond.NewSet()
+	n = d.Count("correspondences", rowFields)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		var sc correspond.Scored
+		row(&sc)
+		set.Add(sc)
+	}
+	n = d.Count("scored candidates", rowFields)
+	if n == 0 {
+		return set, nil
+	}
+	scored := make([]correspond.Scored, n)
+	for i := 0; i < n && d.Err() == nil; i++ {
+		row(&scored[i])
+	}
+	return set, scored
 }
 
 func readStats(d *snapfmt.Reader) OfflineStats {
@@ -201,27 +310,6 @@ func readStats(d *snapfmt.Reader) OfflineStats {
 		TrainingPositives: d.Int("stats.TrainingPositives"),
 		Correspondences:   d.Int("stats.Correspondences"),
 	}
-}
-
-func readCorrespondences(d *snapfmt.Reader) *correspond.Set {
-	n := d.Count("correspondences", minRecordSize)
-	set := correspond.NewSet()
-	for i := 0; i < n && d.Err() == nil; i++ {
-		set.Add(readRecord(d))
-	}
-	return set
-}
-
-func readScored(d *snapfmt.Reader) []correspond.Scored {
-	n := d.Count("scored candidates", minRecordSize)
-	if n == 0 {
-		return nil
-	}
-	out := make([]correspond.Scored, 0, n)
-	for i := 0; i < n && d.Err() == nil; i++ {
-		out = append(out, readRecord(d))
-	}
-	return out
 }
 
 func readLogistic(d *snapfmt.Reader) *correspond.Model {

@@ -177,7 +177,8 @@ func ExpectEOF(r io.Reader, baseErr error) error {
 
 // Writer accumulates a payload. bytes.Buffer writes cannot fail, so the
 // emit methods return nothing; the same logical state always encodes to
-// the same bytes.
+// the same bytes. The numeric emitters append into the buffer's spare
+// capacity, so they allocate only when the buffer grows.
 type Writer struct {
 	buf bytes.Buffer
 }
@@ -186,11 +187,16 @@ type Writer struct {
 func (p *Writer) Bytes() []byte { return p.buf.Bytes() }
 
 func (p *Writer) U32(v uint32) {
-	p.buf.Write(binary.LittleEndian.AppendUint32(nil, v))
+	p.buf.Write(binary.LittleEndian.AppendUint32(p.buf.AvailableBuffer(), v))
 }
 
 func (p *Writer) U64(v uint64) {
-	p.buf.Write(binary.LittleEndian.AppendUint64(nil, v))
+	p.buf.Write(binary.LittleEndian.AppendUint64(p.buf.AvailableBuffer(), v))
+}
+
+// Uvarint writes v in the minimal unsigned LEB128 form (1 to 10 bytes).
+func (p *Writer) Uvarint(v uint64) {
+	p.buf.Write(binary.AppendUvarint(p.buf.AvailableBuffer(), v))
 }
 
 func (p *Writer) F64(v float64) { p.U64(math.Float64bits(v)) }
@@ -287,6 +293,40 @@ func (d *Reader) Int(what string) int {
 }
 
 func (d *Reader) F64() float64 { return math.Float64frombits(d.U64()) }
+
+// Uvarint reads a value written by Writer.Uvarint. A truncated varint, one
+// that overflows uint64, and one longer than its minimal form all fail,
+// so every accepted value has exactly one encoding.
+func (d *Reader) Uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.buf[d.pos:])
+	switch {
+	case n == 0:
+		d.Fail("truncated uvarint at byte %d", d.pos)
+		return 0
+	case n < 0:
+		d.Fail("uvarint overflows 64 bits at byte %d", d.pos)
+		return 0
+	case n > 1 && d.buf[d.pos+n-1] == 0:
+		d.Fail("non-minimal uvarint at byte %d", d.pos)
+		return 0
+	}
+	d.pos += n
+	return v
+}
+
+// Index reads a uvarint that must index a table of n entries. After a
+// failure it returns 0.
+func (d *Reader) Index(what string, n int) int {
+	i := d.Uvarint()
+	if i < uint64(n) {
+		return int(i)
+	}
+	d.Fail("%s index %d out of range %d", what, i, n)
+	return 0
+}
 
 func (d *Reader) Bool() bool {
 	b := d.take(1)

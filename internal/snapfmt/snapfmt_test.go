@@ -77,3 +77,82 @@ func TestDecodeLeavesReaderAtBlockEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWriterFixedWidthNoAllocs pins that the numeric emitters append into
+// the buffer's spare capacity instead of allocating a scratch slice each.
+func TestWriterFixedWidthNoAllocs(t *testing.T) {
+	const runs = 100
+	var p Writer
+	p.buf.Grow((runs + 1) * (4 + 8 + 8 + 10))
+	allocs := testing.AllocsPerRun(runs, func() {
+		p.U32(0xdeadbeef)
+		p.U64(1 << 60)
+		p.F64(0.5)
+		p.Uvarint(1 << 63)
+	})
+	if allocs != 0 {
+		t.Fatalf("U32+U64+F64+Uvarint allocate %v times per call, want 0", allocs)
+	}
+}
+
+func TestUvarintRoundTrip(t *testing.T) {
+	values := []uint64{0, 1, 127, 128, 300, 1<<32 - 1, 1 << 35, 1<<64 - 1}
+	var p Writer
+	for _, v := range values {
+		p.Uvarint(v)
+	}
+	d := NewReader(p.Bytes(), errBad)
+	for _, want := range values {
+		if got := d.Uvarint(); got != want {
+			t.Errorf("Uvarint = %d, want %d", got, want)
+		}
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReaderVarintStrict pins the uvarint and index error paths: each
+// latches an error wrapping the base error, and none panics.
+func TestReaderVarintStrict(t *testing.T) {
+	overlong := append(bytes.Repeat([]byte{0x80}, 10), 0x01)
+	overflow := append(bytes.Repeat([]byte{0xff}, 9), 0x02)
+	cases := []struct {
+		name    string
+		payload []byte
+		read    func(d *Reader)
+		want    string
+	}{
+		{"empty", nil, func(d *Reader) { d.Uvarint() }, "truncated uvarint"},
+		{"truncated", []byte{0x80, 0x80}, func(d *Reader) { d.Uvarint() }, "truncated uvarint"},
+		{"11-byte overlong", overlong, func(d *Reader) { d.Uvarint() }, "overflows 64 bits"},
+		{"10th byte above 1", overflow, func(d *Reader) { d.Uvarint() }, "overflows 64 bits"},
+		{"non-minimal", []byte{0x85, 0x00}, func(d *Reader) { d.Uvarint() }, "non-minimal uvarint"},
+		{"index out of range", []byte{0x03}, func(d *Reader) { d.Index("name", 3) }, "name index 3 out of range 3"},
+		{"index into empty table", []byte{0x00}, func(d *Reader) { d.Index("score", 0) }, "score index 0 out of range 0"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewReader(tc.payload, errBad)
+			tc.read(d)
+			err := d.Err()
+			if !errors.Is(err, errBad) {
+				t.Fatalf("err = %v, want one wrapping the base error", err)
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want it to mention %q", err, tc.want)
+			}
+		})
+	}
+	// The largest in-range index and the largest uint64 both decode.
+	d := NewReader([]byte{0x02, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, errBad)
+	if i := d.Index("name", 3); i != 2 {
+		t.Errorf("Index = %d, want 2", i)
+	}
+	if v := d.Uvarint(); v != 1<<64-1 {
+		t.Errorf("Uvarint = %d, want MaxUint64", v)
+	}
+	if err := d.Finish(); err != nil {
+		t.Fatal(err)
+	}
+}

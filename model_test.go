@@ -3,12 +3,15 @@ package prodsynth
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 
 	"prodsynth/internal/categorize"
@@ -16,6 +19,7 @@ import (
 	"prodsynth/internal/correspond"
 	"prodsynth/internal/ml"
 	"prodsynth/internal/offer"
+	"prodsynth/internal/snapfmt"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite golden snapshot files")
@@ -91,10 +95,18 @@ func formatScore(f float64) string {
 // learned in one process, saved, and loaded by a "fresh process" —
 // simulated by a new, identically populated Catalog and LoadModel from
 // bytes — produces Synthesize output byte-identical to the in-memory
-// model, and identical correspondences.
+// model, identical correspondences, and the same scored candidates in the
+// same order to the bit.
 func TestModelRoundTrip(t *testing.T) {
+	for _, seed := range []int64{1, 2, 21} {
+		t.Run("seed_"+strconv.FormatInt(seed, 10), func(t *testing.T) { testModelRoundTrip(t, seed) })
+	}
+}
+
+func testModelRoundTrip(t *testing.T, seed int64) {
 	ctx := context.Background()
-	ds := marketplace(t)
+	cfg := MarketplaceConfig{Seed: seed, CategoriesPerDomain: 2, ProductsPerCategory: 20, Merchants: 20}
+	ds := GenerateMarketplace(cfg)
 	model, err := Learn(ctx, ds.Catalog, ds.HistoricalOffers, MapFetcher(ds.Pages))
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +125,7 @@ func TestModelRoundTrip(t *testing.T) {
 	// The "fresh process": a second marketplace generated from the same
 	// seed has an identically populated but distinct Catalog, and the
 	// model arrives only through its serialized bytes.
-	ds2 := marketplace(t)
+	ds2 := GenerateMarketplace(cfg)
 	fresh, err := NewSystem(ds2.Catalog, loaded).SynthesizeContext(ctx, ds2.IncomingOffers, MapFetcher(ds2.Pages))
 	if err != nil {
 		t.Fatal(err)
@@ -146,8 +158,16 @@ func TestModelRoundTrip(t *testing.T) {
 	if loaded.Stats() != model.Stats() {
 		t.Errorf("stats differ: %+v vs %+v", loaded.Stats(), model.Stats())
 	}
-	if got, want := len(loaded.ScoredCandidates()), len(model.ScoredCandidates()); got != want {
-		t.Errorf("scored candidates: %d loaded vs %d in-memory", got, want)
+	wantScored, gotScored := model.ScoredCandidates(), loaded.ScoredCandidates()
+	if len(gotScored) != len(wantScored) {
+		t.Fatalf("scored candidates: %d loaded vs %d in-memory", len(gotScored), len(wantScored))
+	}
+	for i, w := range wantScored {
+		g := gotScored[i]
+		if g.Candidate != w.Candidate || math.Float64bits(g.Score) != math.Float64bits(w.Score) {
+			t.Fatalf("scored candidate %d differs:\n  loaded:    %v %s\n  in-memory: %v %s",
+				i, g.Candidate, formatScore(g.Score), w.Candidate, formatScore(w.Score))
+		}
 	}
 
 	// Determinism: save→load→save is byte-identical, so snapshots can be
@@ -161,7 +181,7 @@ func TestModelRoundTrip(t *testing.T) {
 // must encode to exactly the checked-in golden file, so any format change
 // forces a deliberate version bump. Refresh with -update-golden.
 func TestModelGoldenSnapshot(t *testing.T) {
-	path := filepath.Join("testdata", "model_v1.golden")
+	path := filepath.Join("testdata", "model_v2.golden")
 	raw := saveToBytes(t, handBuiltModel())
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -194,8 +214,42 @@ func TestModelGoldenSnapshot(t *testing.T) {
 	}
 }
 
+// frameModelRows frames a hand-written model payload: zero stats, the
+// name table {hdshop, Speed}, the score table {0.5}, then the given
+// correspondence and scored-candidate sections, no logistic model and no
+// classifier. It lets a test place one bad index or count exactly.
+func frameModelRows(t *testing.T, corr, scored []byte) []byte {
+	t.Helper()
+	p := make([]byte, 6*8)
+	p = binary.LittleEndian.AppendUint32(p, 2)
+	for _, s := range []string{"hdshop", "Speed"} {
+		p = binary.LittleEndian.AppendUint32(p, uint32(len(s)))
+		p = append(p, s...)
+	}
+	p = binary.LittleEndian.AppendUint32(p, 1)
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(0.5))
+	p = append(append(p, corr...), scored...)
+	p = append(p, 0, 0)
+	var buf bytes.Buffer
+	if err := snapfmt.Encode(&buf, [4]byte{'P', 'S', 'M', 'D'}, ModelFormatVersion, 1<<30, p); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// rowSection encodes one row section: its u32 row count, then the given
+// uvarint indexes.
+func rowSection(count uint32, ix ...uint64) []byte {
+	b := binary.LittleEndian.AppendUint32(nil, count)
+	for _, i := range ix {
+		b = binary.AppendUvarint(b, i)
+	}
+	return b
+}
+
 // TestLoadModelStrict pins the decode error paths: every corruption mode
-// errors with ErrBadModel, never a panic or a partial model.
+// errors with ErrBadModel, never a panic or a partial model, and the same
+// bytes as a bundle's model half error with ErrBadBundle.
 func TestLoadModelStrict(t *testing.T) {
 	valid := saveToBytes(t, handBuiltModel())
 	mutate := func(i int) []byte {
@@ -203,19 +257,36 @@ func TestLoadModelStrict(t *testing.T) {
 		b[i] ^= 0xFF
 		return b
 	}
+	noRows := rowSection(0)
+	oneRow := rowSection(1, 0, 1, 0, 1, 0)
+	// The hand-written frame is valid as it stands; each case below breaks
+	// exactly one thing in it.
+	if _, err := LoadModel(bytes.NewReader(frameModelRows(t, oneRow, oneRow))); err != nil {
+		t.Fatalf("hand-written model frame does not load: %v", err)
+	}
+	v1 := append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(v1[4:8], 1)
+	overlong := append(rowSection(1), bytes.Repeat([]byte{0x80}, 10)...)
+	overlong = append(overlong, 0x01, 1, 0, 1, 0)
 	cases := []struct {
 		name string
 		data []byte
+		msg  string // when set, the error must mention it
 	}{
-		{"empty", nil},
-		{"short header", valid[:10]},
-		{"bad magic", mutate(0)},
-		{"bad version", mutate(4)},
-		{"bad length", mutate(8)},
-		{"bad checksum", mutate(16)},
-		{"corrupt payload", mutate(len(valid) - 1)},
-		{"truncated payload", valid[:len(valid)-7]},
-		{"trailing data", append(append([]byte(nil), valid...), 0)},
+		{"empty", nil, ""},
+		{"short header", valid[:10], ""},
+		{"bad magic", mutate(0), ""},
+		{"bad version", mutate(4), ""},
+		{"bad length", mutate(8), ""},
+		{"bad checksum", mutate(16), ""},
+		{"corrupt payload", mutate(len(valid) - 1), ""},
+		{"truncated payload", valid[:len(valid)-7], ""},
+		{"trailing data", append(append([]byte(nil), valid...), 0), ""},
+		{"v1 frame", v1, "unsupported format version 1"},
+		{"name index out of range", frameModelRows(t, oneRow, rowSection(1, 0, 1, 2, 1, 0)), "name index 2 out of range 2"},
+		{"score index out of range", frameModelRows(t, rowSection(1, 0, 1, 0, 1, 1), noRows), "score index 1 out of range 1"},
+		{"overlong uvarint", frameModelRows(t, overlong, noRows), "uvarint overflows 64 bits"},
+		{"row count past payload", frameModelRows(t, noRows, rowSection(1000, 0, 1, 0, 1, 0)), "scored candidates count 1000 exceeds remaining payload"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -223,8 +294,19 @@ func TestLoadModelStrict(t *testing.T) {
 			if !errors.Is(err, ErrBadModel) {
 				t.Fatalf("err = %v, want ErrBadModel", err)
 			}
+			if !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("err = %v, want it to mention %q", err, tc.msg)
+			}
 			if m != nil {
 				t.Fatal("corrupt input returned a non-nil model")
+			}
+			payload := append(saveCatalogBytes(t, handBuiltCatalog(t)), tc.data...)
+			store, m, err := LoadBundle(bytes.NewReader(frameBundlePayload(t, payload)))
+			if !errors.Is(err, ErrBadBundle) {
+				t.Fatalf("as a bundle's model half: err = %v, want ErrBadBundle", err)
+			}
+			if store != nil || m != nil {
+				t.Fatal("corrupt bundle returned non-nil state")
 			}
 		})
 	}
@@ -296,8 +378,8 @@ func TestModelFromCorrespondences(t *testing.T) {
 }
 
 // FuzzLoadModel proves corrupt or truncated snapshots error cleanly: no
-// panic, no partial model, and any input that does decode re-encodes and
-// re-decodes stably.
+// panic, no partial model, every error wraps ErrBadModel, and any input
+// that does decode re-encodes and re-decodes stably.
 func FuzzLoadModel(f *testing.F) {
 	var buf bytes.Buffer
 	if err := SaveModel(&buf, handBuiltModel()); err != nil {
@@ -314,6 +396,9 @@ func FuzzLoadModel(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := LoadModel(bytes.NewReader(data))
 		if err != nil {
+			if !errors.Is(err, ErrBadModel) {
+				t.Fatalf("err = %v, want ErrBadModel", err)
+			}
 			if m != nil {
 				t.Fatal("error with non-nil model")
 			}
