@@ -427,3 +427,47 @@ func TestBuildCatalogByHand(t *testing.T) {
 		t.Error("counts wrong")
 	}
 }
+
+// TestDuplicateOfferIDsExcludedTogether pins how the runtime keys catalog
+// matches: by category and offer ID. Two offers share merchant, category
+// and ID; one matches a catalog product by UPC and the other matches
+// nothing, yet both are excluded, so nothing is synthesized — although
+// the unmatched one alone would reconcile to a UPC and form a product.
+func TestDuplicateOfferIDsExcludedTogether(t *testing.T) {
+	store := NewCatalog()
+	err := store.AddCategory(Category{
+		ID: "hd", Name: "Hard Drives", TopLevel: "Computing",
+		Schema: Schema{Attributes: []Attribute{
+			{Name: "Brand", Kind: KindCategorical},
+			{Name: AttrUPC, Kind: KindIdentifier},
+		}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = store.AddProduct(Product{
+		ID: "p1", CategoryID: "hd",
+		Spec: Spec{{Name: "Brand", Value: "Seagate"}, {Name: AttrUPC, Value: "012345678905"}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var upc Correspondence
+	upc.Key = SchemaKey{Merchant: "m1", CategoryID: "hd"}
+	upc.CatalogAttr, upc.MerchantAttr, upc.Score = AttrUPC, AttrUPC, 1
+	sys := NewSystem(store, ModelFromCorrespondences(store, []Correspondence{upc}))
+
+	offers := []Offer{
+		{ID: "o1", Merchant: "m1", CategoryID: "hd", Title: "Seagate drive",
+			Spec: Spec{{Name: AttrUPC, Value: "012345678905"}}},
+		{ID: "o1", Merchant: "m1", CategoryID: "hd", Title: "Zzyzx gadget",
+			Spec: Spec{{Name: AttrUPC, Value: "999999999999"}}},
+	}
+	res, err := sys.SynthesizeContext(context.Background(), offers, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.ExcludedMatched != 2 || len(res.Products) != 0 {
+		t.Errorf("ExcludedMatched = %d, products = %d; want 2 and 0", res.ExcludedMatched, len(res.Products))
+	}
+}

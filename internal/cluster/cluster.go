@@ -33,12 +33,6 @@ type Options struct {
 	// KeyAttrs are the catalog attributes used as clustering keys, in
 	// priority order. Defaults to [UPC, Model Part Number] per §4.
 	KeyAttrs []string
-	// WithinCategory restricts clusters to a single category. By default
-	// clusters form on key values alone and the cluster category is the
-	// majority vote of its members — this absorbs category-classifier
-	// errors on individual offers (the resilience §2 claims), since key
-	// values like UPCs identify the product regardless of category.
-	WithinCategory bool
 }
 
 // DefaultKeyAttrs returns keyAttrs, or the paper's §4 default key
@@ -52,20 +46,16 @@ func DefaultKeyAttrs(keyAttrs []string) []string {
 
 // OfferKeys returns the namespaced clustering keys of one reconciled
 // offer: for each key attribute present with a non-empty normalized value,
-// "attr \x00 value" (prefixed by the category when withinCategory). Offers
-// sharing any key belong to the same cluster; an offer with no keys cannot
-// be clustered. Group and the streaming cluster memory derive keys through
-// this one function so batch and continuous clustering agree exactly.
-func OfferKeys(o offer.Offer, keyAttrs []string, withinCategory bool) []string {
+// "attr \x00 value". Offers sharing any key belong to the same cluster; an
+// offer with no keys cannot be clustered. Group and the streaming cluster
+// memory derive keys through this one function so batch and continuous
+// clustering agree exactly.
+func OfferKeys(o offer.Offer, keyAttrs []string) []string {
 	var keys []string
 	for _, ka := range DefaultKeyAttrs(keyAttrs) {
 		if v, ok := o.Spec.Get(ka); ok {
 			if norm := normalizeKey(v); norm != "" {
-				k := ka + "\x00" + norm
-				if withinCategory {
-					k = o.CategoryID + "\x00" + k
-				}
-				keys = append(keys, k)
+				keys = append(keys, ka+"\x00"+norm)
 			}
 		}
 	}
@@ -105,17 +95,20 @@ func normalizeKey(v string) string {
 // key value (same attribute) end up in the same cluster — a union-find over
 // keys, so that a product whose offers variously expose UPC, MPN, or both
 // still forms a single cluster. Offers without any key attribute are
-// returned in skipped. The cluster category is the majority vote of its
-// member offers (unless WithinCategory keys clusters by category too).
+// returned in skipped. Clusters form on key values alone, and the cluster
+// category is the majority vote of its members: key values like UPCs
+// identify the product regardless of category, so this absorbs
+// category-classifier errors on individual offers (the resilience §2
+// claims).
 func Group(offers []offer.Offer, opts Options) (clusters []Cluster, skipped []offer.Offer) {
 	keyAttrs := DefaultKeyAttrs(opts.KeyAttrs)
 
-	// Namespaced key: attr \x00 normalized value (plus the category when
-	// WithinCategory), so UPC and MPN values never collide.
+	// Namespaced key: attr \x00 normalized value, so UPC and MPN values
+	// never collide.
 	uf := newUnionFind()
 	offerKeys := make([][]string, len(offers))
 	for i, o := range offers {
-		keys := OfferKeys(o, keyAttrs, opts.WithinCategory)
+		keys := OfferKeys(o, keyAttrs)
 		offerKeys[i] = keys
 		for j := 1; j < len(keys); j++ {
 			uf.union(keys[0], keys[j])

@@ -105,14 +105,10 @@ func TestGroupMajorityCategoryAbsorbsClassifierErrors(t *testing.T) {
 	}
 }
 
-func TestGroupWithinCategoryOption(t *testing.T) {
+func TestGroupMergesAcrossCategories(t *testing.T) {
 	offers := []offer.Offer{
 		mkOffer("o1", "hd", "SAME", ""),
 		mkOffer("o2", "cam", "SAME", ""),
-	}
-	clusters, _ := Group(offers, Options{WithinCategory: true})
-	if len(clusters) != 2 {
-		t.Errorf("clusters = %d; WithinCategory must not merge across categories", len(clusters))
 	}
 	merged, _ := Group(offers, Options{})
 	if len(merged) != 1 {
@@ -266,18 +262,18 @@ func TestGroupPartitionProperty(t *testing.T) {
 
 func TestOfferKeys(t *testing.T) {
 	o := mkOffer("o1", "hd", "hdt-725", "00 111")
-	keys := OfferKeys(o, nil, false)
+	keys := OfferKeys(o, nil)
 	want := []string{catalog.AttrUPC + "\x00" + "00111", catalog.AttrMPN + "\x00" + "HDT725"}
 	if len(keys) != len(want) || keys[0] != want[0] || keys[1] != want[1] {
 		t.Errorf("OfferKeys = %q, want %q", keys, want)
 	}
-	// Category namespace.
-	keys = OfferKeys(o, []string{catalog.AttrUPC}, true)
-	if len(keys) != 1 || keys[0] != "hd\x00"+catalog.AttrUPC+"\x00"+"00111" {
-		t.Errorf("within-category keys = %q", keys)
+	// Custom key attributes.
+	keys = OfferKeys(o, []string{catalog.AttrUPC})
+	if len(keys) != 1 || keys[0] != catalog.AttrUPC+"\x00"+"00111" {
+		t.Errorf("UPC-only keys = %q", keys)
 	}
 	// No keys at all.
-	if keys := OfferKeys(mkOffer("o2", "hd", "", ""), nil, false); len(keys) != 0 {
+	if keys := OfferKeys(mkOffer("o2", "hd", "", ""), nil); len(keys) != 0 {
 		t.Errorf("key-less offer produced %q", keys)
 	}
 }

@@ -15,15 +15,16 @@
 // The package wires the substrate packages together, parallelizes the
 // per-offer stages, and reports the statistics the paper's §5.1 quotes.
 //
-// Concurrency model: per-category work — matching and schema
-// reconciliation — fans out across a bounded worker pool (Config.Workers),
-// one task per category, with results merged back in input order so output
-// is identical for every worker count. Matching state is shared through
-// the match package's index registry — sharded by category hash, so
-// concurrent category tasks neither rebuild each other's indexes nor
-// serialize on one registry lock. Clustering stays global (clusters may
-// span categories when the category classifier errs on individual offers,
-// §2); value fusion then fans out again, one task per cluster.
+// Concurrency model: everything before clustering is a chain of per-offer
+// steps — classify, extract, match against the catalog, reconcile — run
+// as one function per offer on a bounded worker pool (Config.Workers),
+// results in input order, so output is identical for every worker count.
+// Matching state is shared through the match package's index registry,
+// and each run takes a category's index from it once (match.Bound), so
+// concurrent offers neither rebuild each other's indexes nor take a
+// registry lock per offer. Clustering stays global (clusters may span
+// categories when the category classifier errs on individual offers, §2);
+// value fusion then fans out again, one task per cluster.
 package core
 
 import (
@@ -107,10 +108,12 @@ func (m MapFetcher) Fetch(url string) (string, error) {
 type Config struct {
 	// Extraction configures the web-page attribute extractor.
 	Extraction extract.Options
-	// Matcher configures historical offer-to-product matching. Set
-	// Matcher.Registry to give the pipeline a private index cache with
-	// its own sharding and LRU bound (match.NewRegistryWithOptions);
-	// nil shares the process-wide default.
+	// Matcher configures offer-to-product matching, offline and at
+	// runtime. Set Matcher.Registry to give the pipeline a private index
+	// cache with its own sharding and LRU bound
+	// (match.NewRegistryWithOptions); nil shares the process-wide
+	// default. The pipeline matches one offer at a time on its own pool
+	// and ignores Matcher.Workers.
 	Matcher match.Matcher
 	// Features configures distributional feature computation.
 	Features correspond.FeatureOptions
@@ -127,18 +130,11 @@ type Config struct {
 	// call; implementations must be safe for concurrent use (stateless
 	// strategies, like the provided ones, are).
 	Fusion fusion.Strategy
-	// Workers bounds the pipeline's worker pools (default 4): per-offer
-	// extraction, the per-category fan-out for matching and
-	// reconciliation, and the per-cluster fusion fan-out. It also seeds
-	// Features.Workers when that is unset, and is split with the
-	// matcher's per-offer parallelism unless Matcher.Workers is set
-	// explicitly (see categoryMatcher). Output is identical for every
-	// value.
+	// Workers bounds the pipeline's worker pools (default 4): the
+	// per-offer front half (classify, extract, match, reconcile) and the
+	// per-cluster fusion fan-out. It also seeds Features.Workers when
+	// that is unset. Output is identical for every value.
 	Workers int
-	// KeepMatchedIncoming disables the runtime filter that excludes
-	// incoming offers matching existing catalog products (§1: synthesis
-	// targets offers that cannot be matched).
-	KeepMatchedIncoming bool
 	// StrictPages makes a landing-page fetch failure fatal to a run —
 	// runtime (Synthesize, a stream wave) and offline (Learn) alike. By
 	// default the pipeline tolerates crawl gaps — an offer whose page
@@ -248,7 +244,7 @@ func (t *fetchTally) report(cs fetch.CounterSource, before fetch.Counters) fetch
 
 // counterSnapshot returns the fetcher's counter source and its current
 // snapshot when it keeps counters, (nil, zero) otherwise. Counter deltas
-// are per-run-exact because the entry points run extraction stages
+// are per-run-exact because the entry points run their front halves
 // serially per run (waves prepare in input order) against the one
 // wrapped fetcher.
 func counterSnapshot(pages PageFetcher) (fetch.CounterSource, fetch.Counters) {
@@ -293,12 +289,11 @@ type OfflineStats struct {
 	Correspondences   int
 }
 
-// RunOffline executes the offline learning phase. Extraction runs on the
-// runtime's own stages (ClassifyStage → extractStage, drained with
-// pipe.Collect) and historical matching on the runtime's per-category
-// fan-out, so cancellation of ctx is observed at every stage pull and
-// between stages; the error is then ctx.Err() and every pool goroutine
-// has already been joined.
+// RunOffline executes the offline learning phase. Classification,
+// extraction and historical matching run on the runtime's own per-offer
+// front half (frontHalf, without reconciliation), so cancellation of ctx
+// is observed at every stage pull and between steps; the error is then
+// ctx.Err() and every pool goroutine has already been joined.
 //
 // Config.StrictPages applies here exactly as at runtime: by default a
 // historical offer whose page cannot be fetched is learned from its feed
@@ -316,24 +311,20 @@ func RunOffline(ctx context.Context, store *catalog.Store, historical []offer.Of
 
 	cs, before := counterSnapshot(pages)
 	tally := &fetchTally{}
-	perOffer := extractStage(pages, cfg, tally)(ClassifyStage(classifier)(pipe.FromSlice(historical)))
-	enriched, err := pipe.Collect(ctx, perOffer)
+	outs, err := frontHalf(ctx, store, classifier, nil, historical, pages, cfg, tally)
 	if err != nil {
 		return nil, err
+	}
+	first := firstMatches(outs)
+	enriched := make([]offer.Offer, len(outs))
+	var found []match.Match
+	for i, r := range outs {
+		enriched[i] = r.offer
+		if m, ok := first[r.key()]; ok {
+			found = append(found, m)
+		}
 	}
 	set := offer.NewSet(enriched)
-
-	found, err := perCategory(ctx, enriched, cfg, func(m match.Matcher, sub []offer.Offer) ([]match.Match, []bool) {
-		ms := m.Run(store, offer.NewSet(sub))
-		vals, keep := make([]match.Match, len(sub)), make([]bool, len(sub))
-		for j, o := range sub {
-			vals[j], keep[j] = ms.ProductFor(o.ID)
-		}
-		return vals, keep
-	})
-	if err != nil {
-		return nil, err
-	}
 	matches := match.NewMatchSet(found)
 	if matches.Len() == 0 {
 		return nil, errors.New("core: no historical offer-to-product matches; offline learning has no signal")
@@ -427,14 +418,12 @@ type Prepared struct {
 }
 
 // PrepareIncoming runs the per-offer front half of the runtime pipeline:
-// classification, extraction, match exclusion, and reconciliation. It is
-// the incremental entry point RunRuntime and the streaming pipeline share,
-// expressed as a drain of the composable stages in stage.go:
-//
-//	ClassifyStage → extractStage → [gather] → per-category match+reconcile
-//
-// Cancellation of ctx is observed at every stage pull; the error is then
-// ctx.Err().
+// classification, extraction, match exclusion, and reconciliation, one
+// function per offer (frontHalf in stage.go). It is the incremental entry
+// point RunRuntime and the streaming pipeline share. An offer is excluded
+// when it, or an offer sharing its category and ID, matched a catalog
+// product. Cancellation of ctx is observed at every stage pull; the error
+// is then ctx.Err().
 func PrepareIncoming(ctx context.Context, store *catalog.Store, offline *OfflineResult, incoming []offer.Offer, pages PageFetcher, cfg Config) (*Prepared, error) {
 	cfg = cfg.withDefaults()
 	if offline == nil || offline.Correspondences == nil {
@@ -446,14 +435,19 @@ func PrepareIncoming(ctx context.Context, store *catalog.Store, offline *Offline
 
 	cs, before := counterSnapshot(pages)
 	tally := &fetchTally{}
-	perOffer := extractStage(pages, cfg, tally)(ClassifyStage(offline.Classifier)(pipe.FromSlice(incoming)))
-	enriched, err := pipe.Collect(ctx, perOffer)
+	outs, err := frontHalf(ctx, store, offline.Classifier, offline.Correspondences, incoming, pages, cfg, tally)
 	if err != nil {
 		return nil, err
 	}
-	prep, err := matchReconcile(ctx, store, offline, enriched, cfg)
-	if err != nil {
-		return nil, err
+	first := firstMatches(outs)
+	prep := &Prepared{Kept: make([]offer.Offer, 0, len(outs))}
+	for _, r := range outs {
+		if _, ok := first[r.key()]; ok {
+			prep.ExcludedMatched++
+			continue
+		}
+		prep.Kept = append(prep.Kept, r.offer)
+		prep.Reconcile.Add(r.stats)
 	}
 	prep.Fetch = tally.report(cs, before)
 	return prep, nil
@@ -488,7 +482,7 @@ func RunRuntime(ctx context.Context, store *catalog.Store, offline *OfflineResul
 
 	// Clustering is global: key values identify a product regardless of
 	// the category the classifier assigned each offer, so clusters may
-	// span category tasks and cannot be formed per category.
+	// span categories and cannot be formed per category.
 	clusters, skipped := cluster.Group(prep.Kept, cluster.Options{KeyAttrs: cfg.ClusterKeys})
 	res.SkippedNoKey = skipped
 	res.Clusters = cluster.Summarize(clusters, skipped)

@@ -234,18 +234,6 @@ func TestRuntimeExcludesMatchedIncoming(t *testing.T) {
 	if run.ExcludedMatched == 0 {
 		t.Error("no incoming offers excluded despite matching catalog products")
 	}
-	// With the filter disabled they flow through.
-	run2, err := RunRuntime(context.Background(), ds.Catalog, off, ds.HistoricalOffers, fetcher, Config{KeepMatchedIncoming: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run2.ExcludedMatched != 0 {
-		t.Errorf("ExcludedMatched = %d with filter disabled", run2.ExcludedMatched)
-	}
-	if len(run2.Products) <= len(run.Products) {
-		t.Errorf("unfiltered run should synthesize more clusters: %d vs %d",
-			len(run2.Products), len(run.Products))
-	}
 }
 
 // TestPrepareIncomingComposesToRunRuntime pins the stage refactor: the
@@ -306,6 +294,60 @@ func TestPrepareIncomingComposesToRunRuntime(t *testing.T) {
 		if spec, ok := wholeKept[o.ID]; !ok || spec != o.Spec.String() {
 			t.Errorf("subset kept offer %s disagrees with whole run", o.ID)
 		}
+	}
+}
+
+// TestPrepareIncomingBoundedRegistry pins one registry lookup per
+// category per front-half run: with a registry that holds a single
+// entry, offers whose categories interleave must not evict each other's
+// title index into a rebuild per offer.
+func TestPrepareIncomingBoundedRegistry(t *testing.T) {
+	ds := dataset(t)
+	fetcher := MapFetcher(ds.Pages)
+	reg := match.NewRegistryWithOptions(match.RegistryOptions{Shards: 1, MaxEntries: 1})
+	cfg := Config{Workers: 4, Matcher: match.Matcher{Registry: reg}}
+	off, err := RunOffline(context.Background(), ds.Catalog, ds.HistoricalOffers, fetcher, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Deal the offers round-robin across their categories, so consecutive
+	// offers never share one.
+	byCat := map[string][]offer.Offer{}
+	var cats []string
+	for _, o := range ds.IncomingOffers {
+		if byCat[o.CategoryID] == nil {
+			cats = append(cats, o.CategoryID)
+		}
+		byCat[o.CategoryID] = append(byCat[o.CategoryID], o)
+	}
+	if len(cats) < 2 {
+		t.Fatalf("%d categories; the test needs them to interleave", len(cats))
+	}
+	var wave []offer.Offer
+	for i := 0; len(wave) < len(ds.IncomingOffers); i++ {
+		for _, c := range cats {
+			if i < len(byCat[c]) {
+				wave = append(wave, byCat[c][i])
+			}
+		}
+	}
+
+	before := reg.Builds()
+	prep, err := PrepareIncoming(context.Background(), ds.Catalog, off, wave, fetcher, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if builds := reg.Builds() - before; builds > int64(len(cats)) {
+		t.Errorf("%d index builds over %d categories", builds, len(cats))
+	}
+	want, err := PrepareIncoming(context.Background(), ds.Catalog, off, wave, fetcher, Config{Workers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if prep.ExcludedMatched != want.ExcludedMatched || len(prep.Kept) != len(want.Kept) {
+		t.Errorf("bounded registry: %d excluded, %d kept; want %d, %d",
+			prep.ExcludedMatched, len(prep.Kept), want.ExcludedMatched, len(want.Kept))
 	}
 }
 
@@ -396,7 +438,7 @@ func TestRuntimeRequiresOffline(t *testing.T) {
 	}
 }
 
-// TestPipelineWorkerCountInvariance asserts that the per-category fan-out
+// TestPipelineWorkerCountInvariance asserts that the per-offer front half
 // produces identical offline matches and identical synthesized products
 // for every worker count.
 func TestPipelineWorkerCountInvariance(t *testing.T) {

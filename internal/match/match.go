@@ -91,8 +91,8 @@ func (ms *MatchSet) OffersFor(productID string) []string {
 //
 // Per-category matching state (the inverted TitleIndex) comes from a
 // shared Registry: it is built exactly once per category regardless of
-// Workers, stays warm across Run calls against the same catalog, and
-// follows catalog growth with incremental posting-list updates instead of
+// Workers, stays warm across calls against the same catalog, and follows
+// catalog growth with incremental posting-list updates instead of
 // rebuilds.
 type Matcher struct {
 	// TitleThreshold is the minimum token-overlap score for a title match
@@ -100,7 +100,8 @@ type Matcher struct {
 	TitleThreshold float64
 	// DisableTitleMatching restricts matching to universal identifiers.
 	DisableTitleMatching bool
-	// Workers is the parallelism for title matching (default: 4).
+	// Workers is Run's parallelism (default: 4). A Bound matches one
+	// offer on the caller's goroutine.
 	Workers int
 	// Registry caches per-category matching state across runs. Nil means
 	// DefaultRegistry, the process-wide cache.
@@ -114,14 +115,10 @@ func (m Matcher) registry() *Registry {
 	return DefaultRegistry
 }
 
-// Run matches every offer against the catalog and returns the match set.
-// Offers match only within their assigned category. Output is identical
-// for every Workers value.
+// Run matches every offer against the catalog and returns the match set:
+// one Bound per call, Match per offer, in offer order. Output is
+// identical for every Workers value.
 func (m Matcher) Run(store *catalog.Store, offers *offer.Set) *MatchSet {
-	threshold := m.TitleThreshold
-	if threshold == 0 {
-		threshold = 0.6
-	}
 	workers := m.Workers
 	if workers <= 0 {
 		workers = 4
@@ -130,6 +127,7 @@ func (m Matcher) Run(store *catalog.Store, offers *offer.Set) *MatchSet {
 	all := offers.All()
 	results := make([]Match, len(all))
 	found := make([]bool, len(all))
+	b := m.Bind(store)
 
 	var wg sync.WaitGroup
 	chunk := (len(all) + workers - 1) / workers
@@ -144,16 +142,8 @@ func (m Matcher) Run(store *catalog.Store, offers *offer.Set) *MatchSet {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			// Resolve registry entries once per category per goroutine:
-			// the shared registry takes a shard mutex per lookup, which
-			// is fine per category but not per offer.
-			local := make(map[string]*TitleIndex)
 			for i := lo; i < hi; i++ {
-				o := all[i]
-				if mt, ok := m.matchOne(store, o, local, threshold); ok {
-					results[i] = mt
-					found[i] = true
-				}
+				results[i], found[i] = b.Match(all[i])
 			}
 		}(start, end)
 	}
@@ -168,29 +158,74 @@ func (m Matcher) Run(store *catalog.Store, offers *offer.Set) *MatchSet {
 	return NewMatchSet(kept)
 }
 
-func (m Matcher) matchOne(store *catalog.Store, o offer.Offer, local map[string]*TitleIndex, threshold float64) (Match, bool) {
+// Bound is a Matcher bound to one catalog store for one run. It takes
+// each category's title index from the registry once, on the category's
+// first offer, and keeps it for the rest of the run: offers in many
+// interleaved categories then cost one registry lookup per category, not
+// one per offer, and a bounded registry (RegistryOptions.MaxEntries)
+// cannot evict an index mid-run and rebuild it for the next offer. A run
+// therefore sees each category's products as they stood at its first
+// offer. Safe for concurrent use.
+type Bound struct {
+	m     Matcher
+	store *catalog.Store
+
+	mu      sync.Mutex
+	indexes map[string]*boundIndex
+}
+
+// boundIndex is one category's index within a Bound. The Bound's lock
+// only guards the map; the registry lookup runs under the entry's own
+// Once, so cold builds of different categories still run in parallel.
+type boundIndex struct {
+	once sync.Once
+	idx  *TitleIndex
+}
+
+// Bind starts a run of matches against store.
+func (m Matcher) Bind(store *catalog.Store) *Bound {
+	return &Bound{m: m, store: store, indexes: make(map[string]*boundIndex)}
+}
+
+// Match matches one offer against the catalog: by universal identifier
+// (UPC, then MPN), else by title above TitleThreshold. Offers match only
+// within their assigned category.
+func (b *Bound) Match(o offer.Offer) (Match, bool) {
 	// 1. Identifier match: UPC first, then MPN, looked up in the key index.
 	for _, keyAttr := range []string{catalog.AttrUPC, catalog.AttrMPN} {
 		if v, ok := o.Spec.Get(keyAttr); ok && v != "" {
-			if p, ok := store.ProductByKey(v); ok && p.CategoryID == o.CategoryID {
+			if p, ok := b.store.ProductByKey(v); ok && p.CategoryID == o.CategoryID {
 				return Match{OfferID: o.ID, ProductID: p.ID, Source: "upc", Score: 1}, true
 			}
 		}
 	}
-	if m.DisableTitleMatching {
+	if b.m.DisableTitleMatching {
 		return Match{}, false
 	}
 
 	// 2. Title match: IDF-weighted containment via the shared inverted
 	// index.
-	idx := local[o.CategoryID]
-	if idx == nil {
-		idx = m.registry().TitleIndex(store, o.CategoryID)
-		local[o.CategoryID] = idx
+	threshold := b.m.TitleThreshold
+	if threshold == 0 {
+		threshold = 0.6
 	}
-	pid, score := idx.Match(o.Title)
+	pid, score := b.titleIndex(o.CategoryID).Match(o.Title)
 	if pid != "" && score >= threshold {
 		return Match{OfferID: o.ID, ProductID: pid, Source: "title", Score: score}, true
 	}
 	return Match{}, false
+}
+
+// titleIndex returns the category's index, taking it from the registry
+// on the run's first use of the category.
+func (b *Bound) titleIndex(category string) *TitleIndex {
+	b.mu.Lock()
+	bi := b.indexes[category]
+	if bi == nil {
+		bi = new(boundIndex)
+		b.indexes[category] = bi
+	}
+	b.mu.Unlock()
+	bi.once.Do(func() { bi.idx = b.m.registry().TitleIndex(b.store, category) })
+	return bi.idx
 }

@@ -27,10 +27,10 @@ import (
 // snapshot they started with.
 //
 // The entry map is split into shards picked by category hash, so
-// concurrent category tasks contend on a shard lock rather than one
-// global mutex, and each shard keeps an LRU over its entries: with a
-// MaxEntries bound configured, cold categories are evicted and simply
-// rebuild on their next touch. See RegistryOptions.
+// concurrent matches in different categories contend on a shard lock
+// rather than one global mutex, and each shard keeps an LRU over its
+// entries: with a MaxEntries bound configured, cold categories are
+// evicted and simply rebuild on their next touch. See RegistryOptions.
 //
 // All methods are safe for concurrent use.
 type Registry struct {

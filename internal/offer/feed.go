@@ -105,15 +105,18 @@ func sanitizeField(s string) string {
 	return s
 }
 
+// specSanitizer blanks the characters the spec column reserves: the pair
+// and name separators, the TSV structure, and '\r', which the reader
+// would strip as half of a CRLF when it ends a row.
+var specSanitizer = strings.NewReplacer("=", " ", "|", " ", "\t", " ", "\n", " ", "\r", " ")
+
 func encodeSpec(s catalog.Spec) string {
 	if len(s) == 0 {
 		return ""
 	}
 	parts := make([]string, len(s))
 	for i, av := range s {
-		name := strings.NewReplacer("=", " ", "|", " ", "\t", " ", "\n", " ").Replace(av.Name)
-		value := strings.NewReplacer("=", " ", "|", " ", "\t", " ", "\n", " ").Replace(av.Value)
-		parts[i] = name + "=" + value
+		parts[i] = specSanitizer.Replace(av.Name) + "=" + specSanitizer.Replace(av.Value)
 	}
 	return strings.Join(parts, "|")
 }

@@ -421,10 +421,12 @@ func (m *Memory) DrainEvicted() []Evicted {
 }
 
 // CloseAll returns a seal record for every cluster still open — in RAM
-// or spilled — in creation order: the close-path counterpart of
-// DrainEvicted, used for the stream's final result. It does not mutate
-// the memory or the spill store: the snapshots are the same clusters
-// Final() returns, paired with their IDs and SealClose.
+// or spilled — in creation order, the merged view of the whole stream:
+// the close-path counterpart of DrainEvicted, used for the stream's final
+// result. With unbounded options, or bounded options plus a spill store,
+// the clusters are exactly the cluster.Group output over every offer ever
+// Added (minus clusters lost to catalog-version invalidation). It does
+// not mutate the memory or the spill store.
 func (m *Memory) CloseAll() []Evicted {
 	type entry struct {
 		ord int
@@ -531,7 +533,7 @@ func (m *Memory) Add(store *catalog.Store, offers []offer.Offer) (touched []clus
 
 	touchedSet := make(map[*openCluster]bool)
 	for _, o := range offers {
-		keys := cluster.OfferKeys(o, m.opts.KeyAttrs, false)
+		keys := cluster.OfferKeys(o, m.opts.KeyAttrs)
 		if len(keys) == 0 {
 			skipped = append(skipped, o)
 			continue
@@ -652,27 +654,13 @@ func (m *Memory) lruVictim() *openCluster {
 	return victim
 }
 
-// Final returns a snapshot of every open cluster — in RAM or spilled —
-// in creation order: the merged view of the whole stream. With unbounded
-// options, or bounded options plus a spill store, this is exactly the
-// cluster.Group output over every offer ever Added (minus clusters lost
-// to catalog-version invalidation).
+// Final returns the clusters of CloseAll's seal records, in the same
+// order.
 func (m *Memory) Final() []cluster.Cluster {
-	type entry struct {
-		ord int
-		c   cluster.Cluster
-	}
-	entries := make([]entry, 0, len(m.open))
-	for _, cl := range m.open {
-		entries = append(entries, entry{cl.ord, m.snapshot(cl)})
-	}
-	for _, sp := range m.spilledAll() {
-		entries = append(entries, entry{sp.Ord, spilledSnapshot(sp, m.opts.KeyAttrs)})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].ord < entries[j].ord })
-	out := make([]cluster.Cluster, len(entries))
-	for i, e := range entries {
-		out[i] = e.c
+	sealed := m.CloseAll()
+	out := make([]cluster.Cluster, len(sealed))
+	for i, e := range sealed {
+		out[i] = e.Cluster
 	}
 	return out
 }

@@ -192,19 +192,6 @@ type StreamOptions struct {
 	// System's model pinned and the fetcher wrapped once for the whole
 	// stream.
 	DisableClusterMemory bool
-	// Buffer is the result channel's capacity. 0 (unbuffered) applies
-	// backpressure on the fuse stage: it runs at most one wave ahead of
-	// the consumer (the wave whose result is being delivered). Larger
-	// values let it run further ahead. The prepare stage additionally
-	// works one wave ahead of fuse.
-	Buffer int
-	// FetchPolicy overrides the System's Config.Fetch for this stream:
-	// non-nil, the stream wraps its fetcher under this policy instead
-	// (set to new(FetchPolicy) — the zero policy — to disable wrapping
-	// for a stream on a System that has one configured). The wrap spans
-	// the whole stream, so breaker state and FetchReport counters carry
-	// across waves.
-	FetchPolicy *FetchPolicy
 }
 
 // SealReason says why a cluster was sealed — why the stream's cross-batch
@@ -287,9 +274,12 @@ type StreamResult struct {
 // extract, match-exclude, reconcile) and fuse (cluster memory, value
 // fusion) — with a one-wave hand-off between them, so wave n+1's prepare
 // overlaps wave n's fuse while results are still emitted in input order.
-// Each result's Sealed field carries the stream's ClusterSealed events:
-// the products that just became final (see ClusterSealed for the consumer
-// contract).
+// The returned channel is unbuffered, so the pipeline runs at most one
+// wave ahead of the consumer. The System's fetch policy wraps pages once
+// for the whole stream, so breaker state and fetch counters carry across
+// waves. Each result's Sealed field carries the stream's ClusterSealed
+// events: the products that just became final (see ClusterSealed for the
+// consumer contract).
 //
 // The stream pins the Model current when it starts; a later Use swap
 // affects subsequent calls, not a stream already in flight. A failed wave
@@ -304,20 +294,16 @@ func (s *System) SynthesizeStream(ctx context.Context, waves <-chan []Offer, pag
 	if err != nil {
 		return nil, err
 	}
-	cfg := s.cfg
-	if opts.FetchPolicy != nil {
-		cfg.Fetch = *opts.FetchPolicy
-	}
-	// stream.Run's channel is unbuffered on purpose: the forwarding
-	// goroutine already holds one result in flight, so any inner capacity
-	// would let the pipeline run that much further ahead than
-	// StreamOptions.Buffer promises.
-	inner := stream.Run(ctx, s.store, sl.model.offline, waves, wrapFetch(pages, cfg), cfg, stream.Options{
+	// Both channels are unbuffered, so the consumer applies backpressure
+	// on the fuse stage: it runs at most one wave ahead of the consumer
+	// (the wave whose result is being delivered), and the prepare stage
+	// one wave ahead of fuse.
+	inner := stream.Run(ctx, s.store, sl.model.offline, waves, wrapFetch(pages, s.cfg), s.cfg, stream.Options{
 		MaxOpenClusters: opts.MaxOpenClusters,
 		MaxIdleWaves:    opts.MaxIdleWaves,
 		DisableMemory:   opts.DisableClusterMemory,
 	})
-	out := make(chan StreamResult, opts.Buffer)
+	out := make(chan StreamResult)
 	//lint:allow spawncheck forwarder exits when inner closes (stream.Run closes it on cancel or input close), closing out; leak-guarded by TestStreamCtxCancelNoLeak
 	go func() {
 		defer close(out)
