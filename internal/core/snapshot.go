@@ -41,7 +41,6 @@ import (
 	"errors"
 	"io"
 	"math"
-	"sort"
 
 	"prodsynth/internal/categorize"
 	"prodsynth/internal/correspond"
@@ -71,9 +70,13 @@ func EncodeOffline(w io.Writer, off *OfflineResult) error {
 	if off == nil {
 		return errors.New("core: nil offline result")
 	}
+	var corr []correspond.Scored
+	if off.Correspondences != nil {
+		corr = off.Correspondences.All()
+	}
 	var p snapfmt.Writer
 	writeStats(&p, off.Stats)
-	writeRows(&p, sortedCorrespondences(off.Correspondences), off.Scored)
+	writeRows(&p, corr, off.Scored)
 	writeLogistic(&p, off.Model)
 	writeClassifier(&p, off.Classifier)
 	return snapfmt.Encode(w, snapshotMagic, SnapshotVersion, maxSnapshotPayload, p.Bytes())
@@ -197,27 +200,6 @@ func writeStats(p *snapfmt.Writer, st OfflineStats) {
 	p.U64(uint64(st.TrainingSize))
 	p.U64(uint64(st.TrainingPositives))
 	p.U64(uint64(st.Correspondences))
-}
-
-// sortedCorrespondences returns the set's rows in the order they are
-// encoded: by merchant, category, then merchant attribute, which is unique
-// within a set.
-func sortedCorrespondences(set *correspond.Set) []correspond.Scored {
-	if set == nil {
-		return nil
-	}
-	all := set.All()
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Key.Merchant != b.Key.Merchant {
-			return a.Key.Merchant < b.Key.Merchant
-		}
-		if a.Key.CategoryID != b.Key.CategoryID {
-			return a.Key.CategoryID < b.Key.CategoryID
-		}
-		return a.MerchantAttr < b.MerchantAttr
-	})
-	return all
 }
 
 func writeLogistic(p *snapfmt.Writer, m *correspond.Model) {

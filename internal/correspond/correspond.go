@@ -15,7 +15,10 @@
 package correspond
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 
 	"prodsynth/internal/offer"
 )
@@ -102,7 +105,8 @@ func (s *Set) Len() int {
 	return n
 }
 
-// All returns every correspondence (unspecified order).
+// All returns every correspondence, ordered by merchant, category, then
+// merchant attribute (unique within a set).
 func (s *Set) All() []Scored {
 	out := make([]Scored, 0, s.Len())
 	for _, m := range s.byKey {
@@ -110,6 +114,13 @@ func (s *Set) All() []Scored {
 			out = append(out, sc)
 		}
 	}
+	slices.SortFunc(out, func(a, b Scored) int {
+		return cmp.Or(
+			strings.Compare(a.Key.Merchant, b.Key.Merchant),
+			strings.Compare(a.Key.CategoryID, b.Key.CategoryID),
+			strings.Compare(a.MerchantAttr, b.MerchantAttr),
+		)
+	})
 	return out
 }
 

@@ -123,6 +123,17 @@ func TestCandidateEnumeration(t *testing.T) {
 	if ft.Len() != 12 {
 		t.Errorf("candidates = %d, want 12", ft.Len())
 	}
+	// Ranking breaks score ties by candidate index and Lookup
+	// binary-searches, so enumeration must ascend strictly.
+	assertAscending(t, ft.Candidates())
+	for i, c := range ft.Candidates() {
+		if j, ok := ft.Lookup(c); !ok || j != i {
+			t.Errorf("Lookup(%v) = %d, %v; want %d", c, j, ok, i)
+		}
+	}
+	if _, ok := ft.Lookup(Candidate{Key: ft.Candidates()[0].Key, CatalogAttr: "Speed", MerchantAttr: "Nope"}); ok {
+		t.Error("Lookup found a candidate that was never enumerated")
+	}
 	// Deterministic ordering across runs.
 	ft2 := ComputeFeatures(st, offers, matches, FeatureOptions{UseMatches: true, Workers: 8})
 	for i := range ft.Candidates() {

@@ -1,9 +1,12 @@
 package correspond
 
 import (
+	"cmp"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
+	"sync/atomic"
 
 	"prodsynth/internal/catalog"
 	"prodsynth/internal/distsim"
@@ -14,14 +17,28 @@ import (
 
 // FeatureTable holds the candidate tuples and their feature vectors.
 type FeatureTable struct {
+	// candidates ascend in compareCandidates order: ranking breaks score
+	// ties by index and Lookup binary-searches on it.
 	candidates []Candidate
 	// features holds every vector back to back, len(names) per candidate.
 	features []float64
-	index    map[Candidate]int
 	names    []string
 }
 
-// Candidates returns the candidate tuples in deterministic order.
+// compareCandidates orders candidates by merchant, category, catalog
+// attribute, then merchant attribute: the order ComputeFeatures
+// enumerates them in.
+func compareCandidates(a, b Candidate) int {
+	return cmp.Or(
+		strings.Compare(a.Key.Merchant, b.Key.Merchant),
+		strings.Compare(a.Key.CategoryID, b.Key.CategoryID),
+		strings.Compare(a.CatalogAttr, b.CatalogAttr),
+		strings.Compare(a.MerchantAttr, b.MerchantAttr),
+	)
+}
+
+// Candidates returns the candidate tuples in deterministic order: by
+// merchant, category, catalog attribute, then merchant attribute.
 func (ft *FeatureTable) Candidates() []Candidate { return ft.candidates }
 
 // Features returns the feature vector of candidate i (order: Names). The
@@ -39,8 +56,7 @@ func (ft *FeatureTable) Names() []string { return ft.names }
 
 // Lookup returns the index of a candidate.
 func (ft *FeatureTable) Lookup(c Candidate) (int, bool) {
-	i, ok := ft.index[c]
-	return i, ok
+	return slices.BinarySearchFunc(ft.candidates, c, compareCandidates)
 }
 
 // Feature returns one named feature of candidate i.
@@ -55,7 +71,7 @@ func (ft *FeatureTable) Feature(i int, name string) float64 {
 // the substrate for drop-one-feature ablations. The underlying candidate
 // slice is shared; feature vectors are copied.
 func (ft *FeatureTable) DropFeature(name string) *FeatureTable {
-	out := &FeatureTable{candidates: ft.candidates, index: ft.index, names: ft.names}
+	out := &FeatureTable{candidates: ft.candidates, names: ft.names}
 	out.features = slices.Clone(ft.features)
 	if col := slices.Index(ft.names, name); col >= 0 {
 		for i := col; i < len(out.features); i += len(ft.names) {
@@ -102,12 +118,6 @@ func (ab attrBags) bag(name string) *text.Bag {
 	return b
 }
 
-func (ab attrBags) addSpec(spec catalog.Spec) {
-	for _, av := range spec {
-		ab.bag(av.Name).AddValue(av.Value)
-	}
-}
-
 // groupBags holds offer-side and product-side bags for one group.
 type groupBags struct {
 	offers   attrBags
@@ -123,14 +133,39 @@ func newGroupBags() *groupBags {
 	}
 }
 
-func (g *groupBags) addOffer(spec catalog.Spec) { g.offers.addSpec(spec) }
+// addOffer adds the offer's values to every group's offer bags,
+// tokenizing each value once: bags are multisets, so which group a token
+// reaches first does not change any count.
+func addOffer(groups []*groupBags, spec catalog.Spec) {
+	for _, av := range spec {
+		toks := text.DefaultTokenizer.Tokenize(av.Value)
+		for _, g := range groups {
+			g.offers.bag(av.Name).Add(toks...)
+		}
+	}
+}
 
-func (g *groupBags) addProduct(p catalog.Product) {
-	if g.seenProd[p.ID] {
+// addProduct adds the product's values to the product bags of every group
+// that has not seen it yet, tokenizing each value once, and only if some
+// group admits the product.
+func addProduct(groups []*groupBags, p catalog.Product) {
+	var admit [3]*groupBags // room for one key's three groups
+	fresh := admit[:0]
+	for _, g := range groups {
+		if !g.seenProd[p.ID] {
+			g.seenProd[p.ID] = true
+			fresh = append(fresh, g)
+		}
+	}
+	if len(fresh) == 0 {
 		return
 	}
-	g.seenProd[p.ID] = true
-	g.products.addSpec(p.Spec)
+	for _, av := range p.Spec {
+		toks := text.DefaultTokenizer.Tokenize(av.Value)
+		for _, g := range fresh {
+			g.products.bag(av.Name).Add(toks...)
+		}
+	}
 }
 
 // ComputeFeatures builds the candidate set and its feature vectors from
@@ -147,7 +182,9 @@ func ComputeFeatures(store *catalog.Store, offers *offer.Set, matches *match.Mat
 	cBags := make(map[string]*groupBags)
 	mBags := make(map[string]*groupBags)
 
-	group := func(key offer.SchemaKey) (*groupBags, *groupBags, *groupBags) {
+	// group returns the key's three groups: merchant+category, category,
+	// merchant.
+	group := func(key offer.SchemaKey) [3]*groupBags {
 		mc := mcBags[key]
 		if mc == nil {
 			mc = newGroupBags()
@@ -163,58 +200,43 @@ func ComputeFeatures(store *catalog.Store, offers *offer.Set, matches *match.Mat
 			m = newGroupBags()
 			mBags[key.Merchant] = m
 		}
-		return mc, c, m
+		return [3]*groupBags{mc, c, m}
 	}
 
 	for _, o := range offers.All() {
 		key := offer.SchemaKey{Merchant: o.Merchant, CategoryID: o.CategoryID}
-		if opts.UseMatches {
-			mt, ok := matches.ProductFor(o.ID)
-			if !ok {
-				continue // unmatched offers contribute nothing (§3.1)
-			}
-			p, ok := store.Product(mt.ProductID)
-			if !ok {
-				continue
-			}
-			mc, c, m := group(key)
-			mc.addOffer(o.Spec)
-			c.addOffer(o.Spec)
-			m.addOffer(o.Spec)
-			mc.addProduct(p)
-			c.addProduct(p)
-			m.addProduct(p)
-		} else {
-			mc, c, m := group(key)
-			mc.addOffer(o.Spec)
-			c.addOffer(o.Spec)
-			m.addOffer(o.Spec)
+		if !opts.UseMatches {
+			groups := group(key)
+			addOffer(groups[:], o.Spec)
+			continue
 		}
+		mt, ok := matches.ProductFor(o.ID)
+		if !ok {
+			continue // unmatched offers contribute nothing (§3.1)
+		}
+		p, ok := store.Product(mt.ProductID)
+		if !ok {
+			continue
+		}
+		groups := group(key)
+		addOffer(groups[:], o.Spec)
+		addProduct(groups[:], p)
 	}
 	if !opts.UseMatches {
 		// Figure 7 baseline: product side = every product of the
-		// category, attributed to each group touching that category.
+		// category, attributed to each group touching that category: the
+		// category itself, each of its (merchant, category) pairs, and
+		// those merchants, whose product bags so span their categories.
+		touching := make(map[string][]*groupBags, len(cBags))
 		for cat, g := range cBags {
-			for _, p := range store.ProductsInCategory(cat) {
-				g.addProduct(p)
-			}
+			touching[cat] = append(touching[cat], g)
 		}
 		for key, g := range mcBags {
-			for _, p := range store.ProductsInCategory(key.CategoryID) {
-				g.addProduct(p)
-			}
+			touching[key.CategoryID] = append(touching[key.CategoryID], g, mBags[key.Merchant])
 		}
-		// Merchant-level product bags span the merchant's categories.
-		for merchantName, g := range mBags {
-			seen := make(map[string]bool)
-			for _, o := range offers.ByMerchant(merchantName) {
-				if seen[o.CategoryID] {
-					continue
-				}
-				seen[o.CategoryID] = true
-				for _, p := range store.ProductsInCategory(o.CategoryID) {
-					g.addProduct(p)
-				}
+		for cat, groups := range touching {
+			for _, p := range store.ProductsInCategory(cat) {
+				addProduct(groups, p)
 			}
 		}
 	}
@@ -224,9 +246,13 @@ func ComputeFeatures(store *catalog.Store, offers *offer.Set, matches *match.Mat
 	if opts.IncludeNameFeature {
 		names = append(names, NameFeature)
 	}
-	ft := &FeatureTable{index: make(map[Candidate]int), names: names}
-	keys := offers.SchemaKeys()
-	for _, key := range keys {
+	type keyAttrs struct {
+		key               offer.SchemaKey
+		catalog, merchant []string
+	}
+	var keys []keyAttrs
+	n := 0
+	for _, key := range offers.SchemaKeys() {
 		cat, ok := store.Category(key.CategoryID)
 		if !ok {
 			continue
@@ -237,55 +263,100 @@ func ComputeFeatures(store *catalog.Store, offers *offer.Set, matches *match.Mat
 		}
 		catalogAttrs := cat.Schema.Names()
 		sort.Strings(catalogAttrs)
-		for _, ap := range catalogAttrs {
-			for _, ao := range merchantAttrs {
-				c := Candidate{Key: key, CatalogAttr: ap, MerchantAttr: ao}
-				ft.index[c] = len(ft.candidates)
-				ft.candidates = append(ft.candidates, c)
+		keys = append(keys, keyAttrs{key, catalogAttrs, merchantAttrs})
+		n += len(catalogAttrs) * len(merchantAttrs)
+	}
+	ft := &FeatureTable{candidates: make([]Candidate, 0, n), names: names}
+	for _, k := range keys {
+		for _, ap := range k.catalog {
+			for _, ao := range k.merchant {
+				ft.candidates = append(ft.candidates, Candidate{Key: k.key, CatalogAttr: ap, MerchantAttr: ao})
 			}
 		}
 	}
 
-	// Pass 3: compute features, sharded across workers. Every bag's
-	// distribution is built once, here, and the workers only read them.
+	// Pass 3: compute features across workers. Every bag's distribution
+	// is built once, here, and the workers only read them. A category-level
+	// feature depends on (category, Ap, Ao) alone, and a merchant-level one
+	// on (merchant, Ap, Ao), so each distinct triple is computed once and
+	// copied to its candidates; the merchant+category features are per
+	// candidate.
 	mcDists, cDists, mDists := distsOf(mcBags), distsOf(cBags), distsOf(mBags)
+	cOf, cReps := factorize(ft.candidates, func(k offer.SchemaKey) string { return k.CategoryID })
+	mOf, mReps := factorize(ft.candidates, func(k offer.SchemaKey) string { return k.Merchant })
+	shared := make([]simPair, len(cReps)+len(mReps))
+	fanOut(len(shared), opts.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			if i < len(cReps) {
+				c := ft.candidates[cReps[i]]
+				shared[i] = cDists[c.Key.CategoryID].sims(c)
+			} else {
+				c := ft.candidates[mReps[i-len(cReps)]]
+				shared[i] = mDists[c.Key.Merchant].sims(c)
+			}
+		}
+	})
+	cSims, mSims := shared[:len(cReps)], shared[len(cReps):]
 	width := len(names)
 	ft.features = make([]float64, len(ft.candidates)*width)
-	var wg sync.WaitGroup
-	chunk := (len(ft.candidates) + opts.Workers - 1) / opts.Workers
-	if chunk == 0 {
-		chunk = 1
-	}
-	for start := 0; start < len(ft.candidates); start += chunk {
-		end := start + chunk
-		if end > len(ft.candidates) {
-			end = len(ft.candidates)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				c := ft.candidates[i]
-				v := ft.features[i*width : (i+1)*width]
-				mc := mcDists[c.Key]
-				cd := cDists[c.Key.CategoryID]
-				md := mDists[c.Key.Merchant]
-				v[0] = mc.js(c)
-				v[1] = cd.js(c)
-				v[2] = md.js(c)
-				v[3] = mc.jaccard(c)
-				v[4] = cd.jaccard(c)
-				v[5] = md.jaccard(c)
-				if opts.IncludeNameFeature {
-					a := text.NormalizeName(c.CatalogAttr)
-					b := text.NormalizeName(c.MerchantAttr)
-					v[6] = (distsim.EditSimilarity(a, b) + distsim.TrigramSimilarity(a, b)) / 2
-				}
+	fanOut(len(ft.candidates), opts.Workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			c := ft.candidates[i]
+			v := ft.features[i*width : (i+1)*width]
+			mc := mcDists[c.Key].sims(c)
+			cs, ms := cSims[cOf[i]], mSims[mOf[i]]
+			v[0], v[1], v[2] = mc.js, cs.js, ms.js
+			v[3], v[4], v[5] = mc.jaccard, cs.jaccard, ms.jaccard
+			if opts.IncludeNameFeature {
+				a := text.NormalizeName(c.CatalogAttr)
+				b := text.NormalizeName(c.MerchantAttr)
+				v[6] = (distsim.EditSimilarity(a, b) + distsim.TrigramSimilarity(a, b)) / 2
 			}
-		}(start, end)
+		}
+	})
+	return ft
+}
+
+// factorize maps every candidate to its distinct (group, Ap, Ao) triple,
+// where group is part of the candidate's key. It returns each candidate's
+// triple and, per triple, the index of the first candidate that has it.
+func factorize(cands []Candidate, group func(offer.SchemaKey) string) (of []int32, reps []int) {
+	type triple struct{ group, ap, ao string }
+	seen := make(map[triple]int32)
+	of = make([]int32, len(cands))
+	for i, c := range cands {
+		t := triple{group(c.Key), c.CatalogAttr, c.MerchantAttr}
+		id, ok := seen[t]
+		if !ok {
+			id = int32(len(reps))
+			seen[t] = id
+			reps = append(reps, i)
+		}
+		of[i] = id
+	}
+	return of, reps
+}
+
+// fanOut runs fn over [0, n) in small chunks handed out to workers
+// goroutines, and returns when every chunk is done.
+func fanOut(n, workers int, fn func(lo, hi int)) {
+	const grain = 256
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				lo := int(next.Add(grain)) - grain
+				if lo >= n {
+					return
+				}
+				fn(lo, min(lo+grain, n))
+			}
+		}()
 	}
 	wg.Wait()
-	return ft
 }
 
 // groupDists holds one group's value distribution per attribute name. An
@@ -310,16 +381,16 @@ func (ab attrBags) distributions() map[string]text.Distribution {
 	return out
 }
 
-func (g *groupDists) js(c Candidate) float64 {
-	if g == nil {
-		return 0
-	}
-	return distsim.JSSimilarity(g.products[c.CatalogAttr], g.offers[c.MerchantAttr])
-}
+// simPair is one group's two similarities for one candidate.
+type simPair struct{ js, jaccard float64 }
 
-func (g *groupDists) jaccard(c Candidate) float64 {
+// sims returns the group's JS and Jaccard similarity between the
+// candidate's catalog-attribute and merchant-attribute distributions; a
+// missing group has both 0.
+func (g *groupDists) sims(c Candidate) simPair {
 	if g == nil {
-		return 0
+		return simPair{}
 	}
-	return g.products[c.CatalogAttr].Jaccard(g.offers[c.MerchantAttr])
+	p, q := g.products[c.CatalogAttr], g.offers[c.MerchantAttr]
+	return simPair{js: distsim.JSSimilarity(p, q), jaccard: p.Jaccard(q)}
 }

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -29,18 +28,7 @@ func WriteSet(w io.Writer, s *Set) error {
 	if _, err := bw.WriteString(ioHeader + "\n"); err != nil {
 		return err
 	}
-	all := s.All()
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Key.Merchant != b.Key.Merchant {
-			return a.Key.Merchant < b.Key.Merchant
-		}
-		if a.Key.CategoryID != b.Key.CategoryID {
-			return a.Key.CategoryID < b.Key.CategoryID
-		}
-		return a.MerchantAttr < b.MerchantAttr
-	})
-	for _, sc := range all {
+	for _, sc := range s.All() {
 		row := fmt.Sprintf("%s\t%s\t%s\t%s\t%.6f\n",
 			sanitize(sc.Key.Merchant), sanitize(sc.Key.CategoryID),
 			sanitize(sc.MerchantAttr), sanitize(sc.CatalogAttr), sc.Score)

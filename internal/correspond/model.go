@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"strings"
 
 	"prodsynth/internal/ml"
 )
@@ -51,54 +50,47 @@ func Train(ft *FeatureTable, opts TrainOptions) (*Model, error) {
 // returning results sorted by descending score (ties broken by candidate
 // order for determinism).
 func (m *Model) ScoreAll(ft *FeatureTable) []Scored {
-	out := make([]Scored, ft.Len())
-	for i := 0; i < ft.Len(); i++ {
-		out[i] = Scored{
-			Candidate: ft.Candidates()[i],
-			Score:     m.LR.Prob(ft.Features(i)),
-		}
+	scores := make([]float64, ft.Len())
+	for i := range scores {
+		scores[i] = m.LR.Prob(ft.Features(i))
 	}
-	sortScored(out)
-	return out
+	return ranked(ft, scores)
 }
 
 // ScoreSingleFeature scores candidates by one raw feature (the Figure 6
 // baselines JS-MC and Jaccard-MC), no classifier involved.
 func ScoreSingleFeature(ft *FeatureTable, featureName string) ([]Scored, error) {
-	col := -1
-	for j, n := range FeatureNames {
-		if n == featureName {
-			col = j
-			break
-		}
-	}
+	col := slices.Index(FeatureNames, featureName)
 	if col < 0 {
 		return nil, fmt.Errorf("correspond: unknown feature %q", featureName)
 	}
-	out := make([]Scored, ft.Len())
-	for i := 0; i < ft.Len(); i++ {
-		out[i] = Scored{
-			Candidate: ft.Candidates()[i],
-			Score:     ft.Features(i)[col],
-		}
+	scores := make([]float64, ft.Len())
+	for i := range scores {
+		scores[i] = ft.Features(i)[col]
 	}
-	sortScored(out)
-	return out, nil
+	return ranked(ft, scores), nil
 }
 
-func sortScored(s []Scored) {
-	slices.SortStableFunc(s, func(a, b Scored) int {
-		if a.Score != b.Score {
-			if a.Score > b.Score {
+// ranked pairs each candidate with its score, best first. The table's
+// candidates ascend in compareCandidates order, so breaking score ties by
+// candidate index breaks them in that order without comparing a string.
+func ranked(ft *FeatureTable, scores []float64) []Scored {
+	perm := make([]int32, len(scores))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int {
+		if sa, sb := scores[a], scores[b]; sa != sb {
+			if sa > sb {
 				return -1
 			}
 			return 1
 		}
-		return cmp.Or(
-			strings.Compare(a.Key.Merchant, b.Key.Merchant),
-			strings.Compare(a.Key.CategoryID, b.Key.CategoryID),
-			strings.Compare(a.CatalogAttr, b.CatalogAttr),
-			strings.Compare(a.MerchantAttr, b.MerchantAttr),
-		)
+		return cmp.Compare(a, b)
 	})
+	out := make([]Scored, len(perm))
+	for k, i := range perm {
+		out[k] = Scored{Candidate: ft.candidates[i], Score: scores[i]}
+	}
+	return out
 }

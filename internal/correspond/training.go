@@ -1,6 +1,8 @@
 package correspond
 
 import (
+	"slices"
+
 	"prodsynth/internal/ml"
 )
 
@@ -22,30 +24,29 @@ type TrainingSet struct {
 //     <A, A, M, C> also exists is a negative example (a merchant uses
 //     exactly one name for a catalog attribute);
 //   - all other candidates are unlabeled and excluded.
+//
+// Candidates of one (merchant, category, catalog attribute) are adjacent in
+// the table, so each such run is labeled whole, in candidate order.
 func BuildTrainingSet(ft *FeatureTable) *TrainingSet {
-	// First collect, per (key, catalog attribute), whether a name
-	// identity candidate exists.
-	hasIdentity := make(map[string]bool)
-	idKey := func(c Candidate) string {
-		return c.Key.Merchant + "\x00" + c.Key.CategoryID + "\x00" + c.CatalogAttr
-	}
-	for _, c := range ft.Candidates() {
-		if c.NameIdentity() {
-			hasIdentity[idKey(c)] = true
-		}
-	}
-
 	ts := &TrainingSet{}
-	for i, c := range ft.Candidates() {
-		switch {
-		case c.NameIdentity():
-			ts.Examples = append(ts.Examples, ml.Example{Features: ft.Features(i), Label: 1})
-			ts.Indices = append(ts.Indices, i)
-			ts.Positives++
-		case hasIdentity[idKey(c)]:
-			ts.Examples = append(ts.Examples, ml.Example{Features: ft.Features(i), Label: 0})
-			ts.Indices = append(ts.Indices, i)
+	cands := ft.Candidates()
+	for lo := 0; lo < len(cands); {
+		hi := lo + 1
+		for hi < len(cands) && cands[hi].Key == cands[lo].Key && cands[hi].CatalogAttr == cands[lo].CatalogAttr {
+			hi++
 		}
+		if slices.ContainsFunc(cands[lo:hi], Candidate.NameIdentity) {
+			for i := lo; i < hi; i++ {
+				label := 0
+				if cands[i].NameIdentity() {
+					label = 1
+					ts.Positives++
+				}
+				ts.Examples = append(ts.Examples, ml.Example{Features: ft.Features(i), Label: label})
+				ts.Indices = append(ts.Indices, i)
+			}
+		}
+		lo = hi
 	}
 	return ts
 }

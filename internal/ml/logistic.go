@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 )
 
 // Example is one labeled training instance.
@@ -110,18 +111,37 @@ func TrainLogistic(examples []Example, cfg LogisticConfig) (*Logistic, error) {
 		}
 	}
 
+	// The epochs' visit orders depend only on the seed, so one helper
+	// goroutine shuffles its own order an epoch ahead of the updates and
+	// hands each epoch's order over in one of two recycled buffers.
+	ready := make(chan []int, 1)
+	free := make(chan []int, 2) // holds both buffers, so returning one never blocks
+	free <- make([]int, len(examples))
+	free <- make([]int, len(examples))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(cfg.Seed))
+		order := make([]int, len(examples))
+		for i := range order {
+			order[i] = i
+		}
+		for epoch := 0; epoch < cfg.Epochs; epoch++ {
+			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+			buf := <-free
+			copy(buf, order)
+			ready <- buf
+		}
+	}()
+
 	// Each step must keep Prob's and the update's floating-point operations
 	// in this order: TestSlabSGDBitIdentical pins the weights bit for bit
 	// to a per-example loop over model.Prob.
 	weights := make([]float64, dim)
 	var bias float64
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	order := make([]int, len(examples))
-	for i := range order {
-		order[i] = i
-	}
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		order := <-ready
 		// Decay the step size mildly for stable convergence.
 		lr := cfg.LearningRate / (1 + 0.01*float64(epoch))
 		lrL2 := lr * cfg.L2
@@ -138,7 +158,9 @@ func TrainLogistic(examples []Example, cfg LogisticConfig) (*Logistic, error) {
 			}
 			bias -= g
 		}
+		free <- order
 	}
+	wg.Wait()
 	return &Logistic{Weights: weights, Bias: bias}, nil
 }
 

@@ -241,16 +241,6 @@ func TestNaiveBayesDeterministicTieBreak(t *testing.T) {
 	}
 }
 
-func BenchmarkTrainLogistic(b *testing.B) {
-	exs := linearlySeparable(1000, 5)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := TrainLogistic(exs, LogisticConfig{Epochs: 20, Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkNaiveBayesClassify(b *testing.B) {
 	nb := NewNaiveBayes(1)
 	for i := 0; i < 50; i++ {

@@ -29,6 +29,10 @@
 //   - Graceful drain: Run stops accepting on context cancellation
 //     (SIGTERM in cmd/synthd), lets in-flight requests finish, and bounds
 //     the wait with Options.DrainTimeout.
+//   - Connection limits: a request body over maxRequestBody is answered
+//     413 without being decoded further, and Run's http.Server bounds how
+//     long a client may take to send its headers and how long an idle
+//     keep-alive connection stays open.
 package serve
 
 import (
@@ -43,6 +47,18 @@ import (
 	"time"
 
 	"prodsynth"
+)
+
+// Fixed limits on what a client can hold or send.
+const (
+	// maxRequestBody caps a request body; the 256-offer bench request is
+	// under 1 MiB.
+	maxRequestBody = 64 << 20
+	// readHeaderTimeout bounds how long a connection may take to send
+	// its request headers.
+	readHeaderTimeout = 10 * time.Second
+	// idleTimeout closes a keep-alive connection idle this long.
+	idleTimeout = 2 * time.Minute
 )
 
 // Options configures a Server. The zero value serves with the defaults
@@ -161,7 +177,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // drain; context.DeadlineExceeded if the drain timed out with requests
 // still in flight; the listener error if serving failed outright.
 func (s *Server) Run(ctx context.Context, ln net.Listener) error {
-	hs := &http.Server{Handler: s}
+	hs := &http.Server{Handler: s, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 	select {
@@ -305,11 +321,18 @@ func (s *Server) fetcher(pages []PageJSON) (prodsynth.PageFetcher, error) {
 	return pf, nil
 }
 
+// decodeJSON decodes the request body into into, answering 400 for a
+// malformed body and 413 for one over maxRequestBody.
 func decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
-		writeError(w, http.StatusBadRequest, "decode request: "+err.Error())
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, "decode request: "+err.Error())
 		return false
 	}
 	return true

@@ -672,3 +672,57 @@ func TestHealthEndpoints(t *testing.T) {
 		t.Errorf("readyz on unlearned system: status = %d, want 503", resp.StatusCode)
 	}
 }
+
+// spaces reads as an endless run of JSON whitespace.
+type spaces struct{}
+
+func (spaces) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodyRejected: a body one byte over the 64 MiB cap is
+// answered 413 and counted under code="413", and the server goes on
+// serving: the next normal request gets 200. The body is an unterminated
+// array padded with whitespace, so only the cap can end its decoding; it
+// is exactly one byte over, so the server has read all of it before
+// answering.
+func TestOversizedBodyRejected(t *testing.T) {
+	ds, sys := learnedSystem(t)
+	ts := httptest.NewServer(serve.New(sys, serve.Options{}))
+	defer ts.Close()
+
+	const limit = 64 << 20
+	head := `{"offers": [`
+	body := io.MultiReader(strings.NewReader(head), io.LimitReader(spaces{}, limit+1-int64(len(head))))
+	req, err := http.NewRequest("POST", ts.URL+"/v1/synthesize", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.ContentLength = limit + 1
+	req.Header.Set("Content-Type", "application/json")
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized body: status = %d, want 413; body %s", resp.StatusCode, data)
+	}
+
+	if resp, body := post(t, ts.Client(), ts.URL+"/v1/synthesize", synthesizeRequest(ds)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the 413: status = %d, body %s", resp.StatusCode, body)
+	}
+	m := scrapeMetrics(t, ts)
+	for _, want := range []string{
+		`synthd_requests_total{endpoint="synthesize",code="413"} 1`,
+		`synthd_requests_total{endpoint="synthesize",code="200"} 1`,
+	} {
+		if !strings.Contains(m, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}

@@ -1,12 +1,15 @@
 package prodsynth
 
 import (
+	"cmp"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"runtime"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -56,4 +59,40 @@ func scoredDigest(scored []Correspondence) string {
 		h.Write(bits[:])
 	}
 	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCorrespondencesDeterministic: two Learns over the same input return
+// identical Correspondences() slices, ordered by merchant, category, then
+// merchant attribute.
+func TestCorrespondencesDeterministic(t *testing.T) {
+	ds := GenerateMarketplace(MarketplaceConfig{
+		Seed:                2,
+		CategoriesPerDomain: 2,
+		ProductsPerCategory: 20,
+		Merchants:           20,
+	})
+	var runs [2][]Correspondence
+	for i := range runs {
+		model, err := Learn(context.Background(), ds.Catalog, ds.HistoricalOffers, MapFetcher(ds.Pages))
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = model.Correspondences()
+	}
+	if len(runs[0]) == 0 {
+		t.Fatal("no correspondences learned")
+	}
+	if !slices.Equal(runs[0], runs[1]) {
+		t.Fatal("two Learns over the same input returned different Correspondences()")
+	}
+	for i := 1; i < len(runs[0]); i++ {
+		a, b := runs[0][i-1], runs[0][i]
+		if cmp.Or(
+			strings.Compare(a.Key.Merchant, b.Key.Merchant),
+			strings.Compare(a.Key.CategoryID, b.Key.CategoryID),
+			strings.Compare(a.MerchantAttr, b.MerchantAttr),
+		) >= 0 {
+			t.Fatalf("Correspondences()[%d] = %v does not sort after %v", i, b, a)
+		}
+	}
 }

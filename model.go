@@ -31,7 +31,9 @@ func (m *Model) Stats() OfflineStats { return m.offline.Stats }
 
 // Correspondences returns every selected attribute correspondence — the
 // set schema reconciliation translates merchant attributes with. The
-// returned slice is a fresh copy in unspecified order.
+// returned slice is a fresh copy, ordered by merchant, category, then
+// merchant attribute, so two models learned from the same input return
+// identical slices.
 func (m *Model) Correspondences() []Correspondence {
 	if m.offline.Correspondences == nil {
 		return nil
