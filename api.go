@@ -111,7 +111,7 @@
 //
 // Where bundles snapshot a moment, [OpenDurable] makes the catalog
 // continuously crash-safe: the store lives in a data directory as
-// compacted per-shard snapshots plus an append-only, CRC-framed
+// a compacted snapshot plus an append-only, CRC-framed
 // write-ahead log, every commit (including each product [System.AddToCatalog]
 // adds mid-stream) is logged before the call returns, and reopening the
 // directory recovers a byte-identical store — snapshot load, idempotent
@@ -349,15 +349,13 @@ func NewMapFetcher(docs []PageDoc) (MapFetcher, error) { return core.MapFetcherF
 // the process.
 type MatchRegistry = match.Registry
 
-// MatchRegistryOptions tunes a MatchRegistry: lock sharding (Shards) and
-// the LRU bound on cached category entries (MaxEntries). Zero values
-// apply defaults (8 shards, unbounded).
+// MatchRegistryOptions tunes a MatchRegistry: MaxEntries is an exact LRU
+// bound on cached category entries. The zero value is unbounded.
 type MatchRegistryOptions = match.RegistryOptions
 
-// NewMatchRegistry returns an empty match registry with the given
-// sharding and memory bounds. Matcher output is identical for every
-// option combination; the options trade lock contention and resident
-// index memory against rebuild cost on cold categories.
+// NewMatchRegistry returns an empty match registry with the given memory
+// bound. Matcher output is identical for every bound; the bound trades
+// resident index memory against rebuild cost on cold categories.
 func NewMatchRegistry(opts MatchRegistryOptions) *MatchRegistry {
 	return match.NewRegistryWithOptions(opts)
 }

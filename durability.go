@@ -8,10 +8,10 @@ import (
 )
 
 // Durability: the out-of-core catalog. A Durable wraps a data directory
-// holding the catalog as shard snapshots plus an append-only delta log
+// holding the catalog as a compacted snapshot plus an append-only delta log
 // (WAL): every AddCategory/AddProduct commit is framed, checksummed, and
 // appended before control returns, and reopening the directory recovers
-// the catalog by loading the last compacted snapshots and replaying the
+// the catalog by loading the last compacted snapshot and replaying the
 // log tail — including after a crash mid-write (a torn final record is
 // truncated, anything else refuses to open). See prodsynth/internal/durable
 // for the on-disk format and crash-atomicity argument.
@@ -19,8 +19,8 @@ type Durable struct {
 	m *durable.Manager
 }
 
-// DurabilityOptions configures OpenDurable: shard count, fsync policy,
-// segment size, and the background compaction triggers used by Run.
+// DurabilityOptions configures OpenDurable: fsync policy, segment size,
+// and the background compaction triggers used by Run.
 type DurabilityOptions = durable.Options
 
 // DurabilityStats is a point-in-time snapshot of a Durable's health:
@@ -68,8 +68,9 @@ func (d *Durable) ImportCatalog(store *Catalog) error {
 	return d.m.ImportSnapshot(store.Snapshot())
 }
 
-// Compact rotates the log, writes fresh shard snapshots, atomically
-// publishes them in the manifest, and deletes the segments they cover.
+// Compact rotates the log, writes a fresh snapshot, atomically publishes
+// it in the manifest, and deletes the segments and older snapshot files
+// it covers.
 // Appends proceed concurrently; recovery cost drops to the new tail.
 func (d *Durable) Compact() error { return d.m.Compact() }
 

@@ -1,35 +1,26 @@
-// Storage: the sharded in-memory representation behind a Store.
+// Storage: the in-memory representation behind a Store.
 //
-// Categories are sharded by ID hash. Each shard owns its categories,
-// their product lists, and their version counters under its own RWMutex,
-// so reads and writes against different categories never contend. The
-// two store-global indexes — product ID -> shard and UPC/MPN key ->
-// owning product — live in a small directory with its own lock, held only
-// for map lookups inside a shard's critical section (lock order: shard,
-// then directory).
+// One RWMutex guards every map: categories, products (which is also the
+// product ID index), per-category product lists and versions, and the
+// UPC/MPN key table. Writes are a trickle (products synthesis adds)
+// against a read per offer, and a durable write already serialises on
+// the log, so one lock is all the traffic needs.
 //
 // Mutations are observable: an Observer attached with SetObserver is
-// invoked synchronously inside the shard critical section, so the
-// observed per-category sequence is exactly the version sequence. That
-// is the hook the durable write-ahead log hangs off, and the reason a
-// log replay (Replay) can rebuild the store from per-shard snapshots
-// plus the tail of the log.
+// invoked synchronously inside the write critical section, so the
+// observed sequence is exactly the commit sequence. That is the hook the
+// durable write-ahead log hangs off, and the reason a log replay
+// (Replay) can rebuild the store from a snapshot plus the tail of the
+// log.
 package catalog
 
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sort"
-	"sync"
 )
 
-// DefaultShards is the shard count NewStore uses. Small enough that
-// per-shard snapshot files stay coarse, large enough that concurrent
-// ingestion into distinct categories rarely shares a lock.
-const DefaultShards = 8
-
-// Observer receives committed mutations, synchronously, inside the shard
+// Observer receives committed mutations, synchronously, inside the write
 // critical section. Implementations must not call back into the store.
 type Observer interface {
 	// ObserveCategory fires after a category is registered.
@@ -38,8 +29,7 @@ type Observer interface {
 	// category's version after the insertion; ownsKey reports whether
 	// the product claimed its UPC/MPN key (false when shadowed or
 	// keyless) — recorded so a replay reproduces first-insertion-wins
-	// ownership even across shards, where commit order and log order
-	// may differ.
+	// ownership without re-deriving it from log order.
 	ObserveProduct(version uint64, ownsKey bool, p Product)
 }
 
@@ -51,76 +41,46 @@ type ReplayRecord struct {
 	// Version is the category version after the product insertion.
 	Version uint64
 	// OwnsKey records whether the product owned its key at commit time.
+	// Replay installs ownership from it rather than re-deciding first
+	// insertion wins, so the recovered key table is the committed one
+	// even for logs written by stores whose commit order and log order
+	// could differ.
 	OwnsKey bool
 }
 
-// observerBox wraps the Observer so atomic.Value always stores one
-// concrete type (and can hold "no observer").
-type observerBox struct{ obs Observer }
-
-type shard struct {
-	mu         sync.RWMutex
-	categories map[string]*Category
-	products   map[string]*Product
-	byCategory map[string][]string // category ID -> product IDs (insertion order)
-	versions   map[string]uint64   // category ID -> mutation counter
-}
-
-// directory holds the store-global indexes. Lock order: a shard's mu is
-// always acquired before dir.mu, never the reverse.
-type directory struct {
-	mu      sync.RWMutex
-	ids     map[string]int    // product ID -> owning shard
-	byKey   map[string]string // key value -> product ID (first insertion wins)
-	autoSeq uint64            // next candidate suffix for AddProductAutoID
-}
-
-// NumShards reports the store's shard count.
-func (st *Store) NumShards() int { return len(st.shards) }
-
-func (st *Store) shardOf(categoryID string) int {
-	h := fnv.New32a()
-	h.Write([]byte(categoryID))
-	return int(h.Sum32() % uint32(len(st.shards)))
-}
-
-func (st *Store) observer() Observer {
-	return st.obs.Load().(observerBox).obs
-}
-
 // SetObserver attaches the mutation observer (nil detaches). The observer
-// runs inside the shard critical section: per category, the observed
-// order is the version order.
+// runs inside the write critical section: the observed order is the
+// commit order.
 func (st *Store) SetObserver(obs Observer) {
-	st.obs.Store(observerBox{obs: obs})
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.obs = obs
 }
 
 // AddCategory registers a category. The category is copied; later mutation
 // of the argument does not affect the store.
 func (st *Store) AddCategory(c Category) error {
-	sh := &st.shards[st.shardOf(c.ID)]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.categories[c.ID]; ok {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if _, ok := st.categories[c.ID]; ok {
 		return fmt.Errorf("%w: %s", ErrDuplicateCategory, c.ID)
 	}
 	cp := c
 	cp.Schema.Attributes = append([]Attribute(nil), c.Schema.Attributes...)
 	cp.Schema.byName = nil
 	cp.Schema.buildNameIndex()
-	sh.categories[c.ID] = &cp
-	if obs := st.observer(); obs != nil {
-		obs.ObserveCategory(cp)
+	st.categories[c.ID] = &cp
+	if st.obs != nil {
+		st.obs.ObserveCategory(cp)
 	}
 	return nil
 }
 
 // Category returns the category with the given ID.
 func (st *Store) Category(id string) (Category, bool) {
-	sh := &st.shards[st.shardOf(id)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	c, ok := sh.categories[id]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	c, ok := st.categories[id]
 	if !ok {
 		return Category{}, false
 	}
@@ -129,29 +89,21 @@ func (st *Store) Category(id string) (Category, bool) {
 
 // Categories returns all categories sorted by ID.
 func (st *Store) Categories() []Category {
-	var out []Category
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		for _, c := range sh.categories {
-			out = append(out, *c)
-		}
-		sh.mu.RUnlock()
+	st.mu.RLock()
+	out := make([]Category, 0, len(st.categories))
+	for _, c := range st.categories {
+		out = append(out, *c)
 	}
+	st.mu.RUnlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // NumCategories returns the number of categories.
 func (st *Store) NumCategories() int {
-	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n += len(sh.categories)
-		sh.mu.RUnlock()
-	}
-	return n
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return len(st.categories)
 }
 
 // AddProductOutcome inserts a product like AddProduct and additionally
@@ -160,11 +112,9 @@ func (st *Store) NumCategories() int {
 // surfaced through AddOutcome.KeyShadowedBy instead of silently skewing
 // later ProductByKey lookups.
 func (st *Store) AddProductOutcome(p Product) (AddOutcome, error) {
-	shi := st.shardOf(p.CategoryID)
-	sh := &st.shards[shi]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	_, out, err := st.addLocked(sh, shi, p, false, "")
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	_, out, err := st.addLocked(p, false, "")
 	return out, err
 }
 
@@ -176,86 +126,86 @@ func (st *Store) AddProductOutcome(p Product) (AddOutcome, error) {
 // so a generated ID never collides with an existing product. Returns the
 // assigned ID; p.ID is ignored.
 func (st *Store) AddProductAutoID(prefix string, p Product) (string, AddOutcome, error) {
-	shi := st.shardOf(p.CategoryID)
-	sh := &st.shards[shi]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return st.addLocked(sh, shi, p, true, prefix)
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	return st.addLocked(p, true, prefix)
 }
 
-// addLocked validates p against its category and commits it; sh.mu must
+// addLocked validates p against its category and commits it; st.mu must
 // be held. When mint is true, p.ID is assigned from the auto sequence
 // ("<prefix>-nokey-<n>"), skipping IDs already in use, inside the same
-// critical section that claims it — concurrent callers can never mint
-// the same ID. Error precedence matches the pre-sharding store: unknown
-// category, then duplicate ID, then schema violation.
-func (st *Store) addLocked(sh *shard, shi int, p Product, mint bool, prefix string) (string, AddOutcome, error) {
-	cat, ok := sh.categories[p.CategoryID]
+// critical section that claims it. Error precedence: unknown category,
+// then duplicate ID, then schema violation.
+func (st *Store) addLocked(p Product, mint bool, prefix string) (string, AddOutcome, error) {
+	cat, ok := st.categories[p.CategoryID]
 	if !ok {
 		return "", AddOutcome{}, fmt.Errorf("%w: %s (product %s)", ErrUnknownCategory, p.CategoryID, p.ID)
 	}
-	d := &st.dir
-	d.mu.Lock()
 	if !mint {
-		if _, dup := d.ids[p.ID]; dup {
-			d.mu.Unlock()
+		if _, dup := st.products[p.ID]; dup {
 			return "", AddOutcome{}, fmt.Errorf("%w: %s", ErrDuplicateProduct, p.ID)
 		}
 	}
 	for _, av := range p.Spec {
 		if !cat.Schema.Has(av.Name) {
-			d.mu.Unlock()
 			return "", AddOutcome{}, fmt.Errorf("%w: %q not in schema of %s", ErrSchemaViolation, av.Name, p.CategoryID)
 		}
 	}
 	if mint {
 		for {
-			id := fmt.Sprintf("%s-nokey-%d", prefix, d.autoSeq)
-			d.autoSeq++
-			if _, taken := d.ids[id]; !taken {
+			id := fmt.Sprintf("%s-nokey-%d", prefix, st.autoSeq)
+			st.autoSeq++
+			if _, taken := st.products[id]; !taken {
 				p.ID = id
 				break
 			}
 		}
 	}
-	cp := p
-	cp.Spec = p.Spec.Clone()
+	// First insertion wins the key; a later product with the same key is
+	// stored but shadowed.
 	var out AddOutcome
-	ownsKey := false
-	if key, ok := cp.Key(); ok {
-		if owner, dup := d.byKey[key]; dup {
+	ownedKey := ""
+	if key, ok := p.Key(); ok {
+		if owner, dup := st.byKey[key]; dup {
 			out.KeyShadowedBy = owner
 		} else {
-			d.byKey[key] = cp.ID
-			ownsKey = true
+			ownedKey = key
 		}
 	}
-	d.ids[cp.ID] = shi
-	d.mu.Unlock()
-	sh.products[cp.ID] = &cp
-	sh.byCategory[cp.CategoryID] = append(sh.byCategory[cp.CategoryID], cp.ID)
-	sh.versions[cp.CategoryID]++
-	if obs := st.observer(); obs != nil {
-		obs.ObserveProduct(sh.versions[cp.CategoryID], ownsKey, cp)
+	version := st.versions[p.CategoryID] + 1
+	cp := st.insertLocked(p, version, ownedKey)
+	if st.obs != nil {
+		st.obs.ObserveProduct(version, ownedKey != "", cp)
 	}
 	return cp.ID, out, nil
 }
 
+// insertLocked appends a copy of an already validated p to its category
+// at the given version and, when ownedKey is set, makes p that key's
+// owner; st.mu must be held. Commit (addLocked) and replay
+// (replayProduct) differ only in how they decide version and ownership.
+func (st *Store) insertLocked(p Product, version uint64, ownedKey string) Product {
+	cp := p
+	cp.Spec = p.Spec.Clone()
+	if ownedKey != "" {
+		st.byKey[ownedKey] = cp.ID
+	}
+	st.products[cp.ID] = &cp
+	st.byCategory[cp.CategoryID] = append(st.byCategory[cp.CategoryID], cp.ID)
+	st.versions[cp.CategoryID] = version
+	return cp
+}
+
 // Product returns the product with the given ID.
 func (st *Store) Product(id string) (Product, bool) {
-	st.dir.mu.RLock()
-	shi, ok := st.dir.ids[id]
-	st.dir.mu.RUnlock()
-	if !ok {
-		return Product{}, false
-	}
-	// The directory entry is written inside the owning shard's critical
-	// section, so by the time this RLock is granted the product is in
-	// the shard maps.
-	sh := &st.shards[shi]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	p, ok := sh.products[id]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.productLocked(id)
+}
+
+// productLocked clones the product with the given ID; st.mu must be held.
+func (st *Store) productLocked(id string) (Product, bool) {
+	p, ok := st.products[id]
 	if !ok {
 		return Product{}, false
 	}
@@ -268,31 +218,29 @@ func (st *Store) Product(id string) (Product, bool) {
 // several products were inserted with the same key, the first insertion
 // owns it (later ones are reported shadowed by AddProductOutcome).
 func (st *Store) ProductByKey(key string) (Product, bool) {
-	st.dir.mu.RLock()
-	id, ok := st.dir.byKey[key]
-	st.dir.mu.RUnlock()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	id, ok := st.byKey[key]
 	if !ok {
 		return Product{}, false
 	}
-	return st.Product(id)
+	return st.productLocked(id)
 }
 
 // CategoryVersion returns the category's mutation counter: it starts at 0
 // and increments on every product insertion into the category. Caches keyed
 // on a category's product set use it to detect staleness.
 func (st *Store) CategoryVersion(categoryID string) uint64 {
-	sh := &st.shards[st.shardOf(categoryID)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.versions[categoryID]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.versions[categoryID]
 }
 
 // ProductsInCategory returns the products of one category in insertion order.
 func (st *Store) ProductsInCategory(categoryID string) []Product {
-	sh := &st.shards[st.shardOf(categoryID)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.productsLocked(sh.byCategory[categoryID])
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.productsLocked(st.byCategory[categoryID])
 }
 
 // ProductsInCategoryVersioned returns the products of one category in
@@ -302,10 +250,9 @@ func (st *Store) ProductsInCategory(categoryID string) []Product {
 // CategoryVersion, or a concurrent insertion could slip between the two
 // reads and be double-counted or lost.
 func (st *Store) ProductsInCategoryVersioned(categoryID string) ([]Product, uint64) {
-	sh := &st.shards[st.shardOf(categoryID)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.productsLocked(sh.byCategory[categoryID]), sh.versions[categoryID]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return st.productsLocked(st.byCategory[categoryID]), st.versions[categoryID]
 }
 
 // ProductsSince returns the products appended to a category after its
@@ -319,125 +266,68 @@ func (st *Store) ProductsInCategoryVersioned(categoryID string) ([]Product, uint
 // such mutation exists today; the check guards future ones). Callers must
 // then rebuild from ProductsInCategoryVersioned.
 func (st *Store) ProductsSince(categoryID string, since uint64) (added []Product, version uint64, ok bool) {
-	sh := &st.shards[st.shardOf(categoryID)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	v := sh.versions[categoryID]
-	ids := sh.byCategory[categoryID]
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	v := st.versions[categoryID]
+	ids := st.byCategory[categoryID]
 	if since > v || uint64(len(ids)) != v {
 		return nil, v, false
 	}
-	return sh.productsLocked(ids[since:]), v, true
+	return st.productsLocked(ids[since:]), v, true
 }
 
 // NumProducts returns the number of products in the store.
 func (st *Store) NumProducts() int {
-	n := 0
-	for i := range st.shards {
-		sh := &st.shards[i]
-		sh.mu.RLock()
-		n += len(sh.products)
-		sh.mu.RUnlock()
-	}
-	return n
+	st.mu.RLock()
+	defer st.mu.RUnlock()
+	return len(st.products)
 }
 
-// productsLocked clones the products with the given IDs; sh.mu must be held.
-func (sh *shard) productsLocked(ids []string) []Product {
-	out := make([]Product, 0, len(ids))
-	for _, id := range ids {
-		p := sh.products[id]
-		cp := *p
-		cp.Spec = p.Spec.Clone()
-		out = append(out, cp)
+// productsLocked clones the products with the given IDs; st.mu must be held.
+func (st *Store) productsLocked(ids []string) []Product {
+	out := make([]Product, len(ids))
+	for i, id := range ids {
+		out[i], _ = st.productLocked(id)
 	}
 	return out
 }
 
-// Snapshot captures the store's state atomically: categories sorted by
-// ID, products in per-category insertion order, version counters, and
-// the key ownership table sorted by key. Everything is deeply copied;
-// later store mutation does not affect the snapshot. Every shard RLock
-// plus the directory RLock are held together, so no mutation can land
-// between two shards' captures.
+// Snapshot captures the store's state atomically, under one read lock:
+// categories sorted by ID, products in per-category insertion order,
+// version counters, and the key ownership table sorted by key.
+// Everything is deeply copied; later store mutation does not affect the
+// snapshot.
 func (st *Store) Snapshot() Snapshot {
-	for i := range st.shards {
-		st.shards[i].mu.RLock()
-	}
-	st.dir.mu.RLock()
-	defer func() {
-		st.dir.mu.RUnlock()
-		for i := range st.shards {
-			st.shards[i].mu.RUnlock()
-		}
-	}()
+	st.mu.RLock()
+	defer st.mu.RUnlock()
 	var snap Snapshot
-	for i := range st.shards {
-		snap.Categories = append(snap.Categories, st.shards[i].categoriesLocked()...)
-	}
-	sortSnapshotCategories(&snap)
-	snap.Keys = st.dir.keysLocked(nil)
-	return snap
-}
-
-// ShardSnapshot captures one shard: its categories (with versions and
-// products) and the slice of the key table owned by its products. The
-// union of all shard snapshots is exactly Snapshot (modulo the capture
-// not being atomic across separate calls).
-func (st *Store) ShardSnapshot(i int) Snapshot {
-	sh := &st.shards[i]
-	sh.mu.RLock()
-	st.dir.mu.RLock()
-	defer func() {
-		st.dir.mu.RUnlock()
-		sh.mu.RUnlock()
-	}()
-	var snap Snapshot
-	snap.Categories = sh.categoriesLocked()
-	sortSnapshotCategories(&snap)
-	snap.Keys = st.dir.keysLocked(func(ownerID string) bool {
-		return st.dir.ids[ownerID] == i
-	})
-	return snap
-}
-
-// categoriesLocked captures the shard's categories unsorted; sh.mu held.
-func (sh *shard) categoriesLocked() []CategorySnapshot {
-	out := make([]CategorySnapshot, 0, len(sh.categories))
-	for id, c := range sh.categories {
+	for id, c := range st.categories {
 		cc := *c
 		cc.Schema.Attributes = append([]Attribute(nil), c.Schema.Attributes...)
 		cc.Schema.byName = nil
-		out = append(out, CategorySnapshot{
+		snap.Categories = append(snap.Categories, CategorySnapshot{
 			Category: cc,
-			Version:  sh.versions[id],
-			Products: sh.productsLocked(sh.byCategory[id]),
+			Version:  st.versions[id],
+			Products: st.productsLocked(st.byCategory[id]),
 		})
 	}
-	return out
+	sortSnapshotCategories(&snap)
+	keys := make([]string, 0, len(st.byKey))
+	for k := range st.byKey {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	snap.Keys = make([]KeyOwner, len(keys))
+	for i, k := range keys {
+		snap.Keys[i] = KeyOwner{Key: k, ProductID: st.byKey[k]}
+	}
+	return snap
 }
 
 func sortSnapshotCategories(snap *Snapshot) {
 	sort.Slice(snap.Categories, func(i, j int) bool {
 		return snap.Categories[i].Category.ID < snap.Categories[j].Category.ID
 	})
-}
-
-// keysLocked captures the key table sorted by key, filtered by owner
-// when keep is non-nil; dir.mu must be held.
-func (d *directory) keysLocked(keep func(ownerID string) bool) []KeyOwner {
-	keys := make([]string, 0, len(d.byKey))
-	for k, owner := range d.byKey {
-		if keep == nil || keep(owner) {
-			keys = append(keys, k)
-		}
-	}
-	sort.Strings(keys)
-	out := make([]KeyOwner, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, KeyOwner{Key: k, ProductID: d.byKey[k]})
-	}
-	return out
 }
 
 // Replay applies one logged mutation idempotently: records at or below
@@ -461,15 +351,13 @@ func (st *Store) Replay(rec ReplayRecord) error {
 
 func (st *Store) replayProduct(rec ReplayRecord) error {
 	p := *rec.Product
-	shi := st.shardOf(p.CategoryID)
-	sh := &st.shards[shi]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	cat, ok := sh.categories[p.CategoryID]
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	cat, ok := st.categories[p.CategoryID]
 	if !ok {
 		return fmt.Errorf("%w: %s (replayed product %s)", ErrUnknownCategory, p.CategoryID, p.ID)
 	}
-	cur := sh.versions[p.CategoryID]
+	cur := st.versions[p.CategoryID]
 	if rec.Version <= cur {
 		return nil // snapshot already covers this append
 	}
@@ -483,34 +371,23 @@ func (st *Store) replayProduct(rec ReplayRecord) error {
 			return fmt.Errorf("%w: %q not in schema of %s (replayed product %s)", ErrSchemaViolation, av.Name, p.CategoryID, p.ID)
 		}
 	}
-	d := &st.dir
-	d.mu.Lock()
-	if _, dup := d.ids[p.ID]; dup {
-		d.mu.Unlock()
+	if _, dup := st.products[p.ID]; dup {
 		return fmt.Errorf("%w: %s (replayed)", ErrDuplicateProduct, p.ID)
 	}
-	cp := p
-	cp.Spec = p.Spec.Clone()
 	// Key ownership comes from the record, not first-insertion-wins at
-	// replay time: commit order and log order can differ across shards,
-	// and the recovered key table must match the original's.
+	// replay time, so the recovered key table matches the committed one.
+	ownedKey := ""
 	if rec.OwnsKey {
-		key, ok := cp.Key()
+		key, ok := p.Key()
 		if !ok {
-			d.mu.Unlock()
-			return fmt.Errorf("catalog: replayed product %s claims key ownership but has no key", cp.ID)
+			return fmt.Errorf("catalog: replayed product %s claims key ownership but has no key", p.ID)
 		}
-		if owner, dup := d.byKey[key]; dup && owner != cp.ID {
-			d.mu.Unlock()
+		if owner, dup := st.byKey[key]; dup && owner != p.ID {
 			return fmt.Errorf("catalog: replayed key %q already owned by %s", key, owner)
 		}
-		d.byKey[key] = cp.ID
+		ownedKey = key
 	}
-	d.ids[cp.ID] = shi
-	d.mu.Unlock()
-	sh.products[cp.ID] = &cp
-	sh.byCategory[cp.CategoryID] = append(sh.byCategory[cp.CategoryID], cp.ID)
-	sh.versions[cp.CategoryID] = rec.Version
+	st.insertLocked(p, rec.Version, ownedKey)
 	return nil
 }
 
@@ -519,29 +396,26 @@ func (st *Store) replayProduct(rec ReplayRecord) error {
 // checks, so no validation happens here.
 func (st *Store) loadSnapshot(snap Snapshot) {
 	for _, cs := range snap.Categories {
-		shi := st.shardOf(cs.Category.ID)
-		sh := &st.shards[shi]
 		cc := cs.Category
 		cc.Schema.Attributes = append([]Attribute(nil), cs.Category.Schema.Attributes...)
 		cc.Schema.byName = nil
 		cc.Schema.buildNameIndex()
-		sh.categories[cc.ID] = &cc
+		st.categories[cc.ID] = &cc
 		if cs.Version != 0 {
-			sh.versions[cc.ID] = cs.Version
+			st.versions[cc.ID] = cs.Version
 		}
 		if len(cs.Products) > 0 {
 			ids := make([]string, 0, len(cs.Products))
 			for _, p := range cs.Products {
 				cp := p
 				cp.Spec = p.Spec.Clone()
-				sh.products[cp.ID] = &cp
-				st.dir.ids[cp.ID] = shi
+				st.products[cp.ID] = &cp
 				ids = append(ids, cp.ID)
 			}
-			sh.byCategory[cc.ID] = ids
+			st.byCategory[cc.ID] = ids
 		}
 	}
 	for _, ko := range snap.Keys {
-		st.dir.byKey[ko.Key] = ko.ProductID
+		st.byKey[ko.Key] = ko.ProductID
 	}
 }

@@ -8,9 +8,9 @@ import (
 	"testing"
 )
 
-func testStore(t *testing.T, shards int) *Store {
+func testStore(t *testing.T) *Store {
 	t.Helper()
-	st := NewStoreShards(shards)
+	st := NewStore()
 	for _, c := range []Category{
 		{ID: "c-drives", Name: "Hard Drives", TopLevel: "Electronics", Schema: Schema{Attributes: []Attribute{
 			{Name: AttrUPC, Kind: KindIdentifier},
@@ -49,57 +49,50 @@ func testStore(t *testing.T, shards int) *Store {
 	return st
 }
 
-// Shard snapshots must partition the store: merging them back yields the
-// exact global snapshot, byte for byte, for any shard count.
-func TestShardSnapshotsMergeToGlobal(t *testing.T) {
-	for _, shards := range []int{1, 3, 8} {
-		st := testStore(t, shards)
-		if got := st.NumShards(); got != shards {
-			t.Fatalf("NumShards = %d, want %d", got, shards)
+// A data directory written while the store was split into category
+// shards holds one snapshot per shard. Merging such parts must yield the
+// exact global snapshot, byte for byte, for any number of parts.
+func TestMergeSnapshotsRebuildsGlobal(t *testing.T) {
+	st := testStore(t)
+	var want bytes.Buffer
+	if err := EncodeStore(&want, st); err != nil {
+		t.Fatal(err)
+	}
+	whole := st.Snapshot()
+	for _, n := range []int{1, 3, 8} {
+		// Deal categories round-robin over n parts; each key goes with
+		// the part holding its owner.
+		parts := make([]Snapshot, n)
+		partOf := map[string]int{}
+		for i, cs := range whole.Categories {
+			parts[i%n].Categories = append(parts[i%n].Categories, cs)
+			for _, p := range cs.Products {
+				partOf[p.ID] = i % n
+			}
 		}
-		var parts []Snapshot
-		for i := 0; i < st.NumShards(); i++ {
-			parts = append(parts, st.ShardSnapshot(i))
+		for _, ko := range whole.Keys {
+			i := partOf[ko.ProductID]
+			parts[i].Keys = append(parts[i].Keys, ko)
 		}
 		merged := MergeSnapshots(parts)
-		var want, got bytes.Buffer
-		if err := EncodeStore(&want, st); err != nil {
-			t.Fatal(err)
-		}
+		var got bytes.Buffer
 		if err := EncodeSnapshot(&got, merged); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(want.Bytes(), got.Bytes()) {
-			t.Errorf("shards=%d: merged shard snapshots differ from the global snapshot", shards)
+			t.Errorf("parts=%d: merged snapshots differ from the global snapshot", n)
 		}
 		// And the merge must load: a store rebuilt from it matches too.
-		st2, err := FromSnapshotShards(merged, shards)
+		st2, err := FromSnapshot(merged)
 		if err != nil {
-			t.Fatalf("shards=%d: FromSnapshotShards: %v", shards, err)
+			t.Fatalf("parts=%d: FromSnapshot: %v", n, err)
 		}
 		var rt bytes.Buffer
 		if err := EncodeStore(&rt, st2); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(want.Bytes(), rt.Bytes()) {
-			t.Errorf("shards=%d: snapshot round-trip through shard merge not identical", shards)
-		}
-	}
-}
-
-// The backend shard count must not leak into snapshot bytes: stores with
-// different shard counts holding the same logical state encode identically.
-func TestSnapshotBytesIndependentOfShardCount(t *testing.T) {
-	var first []byte
-	for _, shards := range []int{1, 2, 8} {
-		var buf bytes.Buffer
-		if err := EncodeStore(&buf, testStore(t, shards)); err != nil {
-			t.Fatal(err)
-		}
-		if first == nil {
-			first = buf.Bytes()
-		} else if !bytes.Equal(first, buf.Bytes()) {
-			t.Fatalf("shards=%d: snapshot bytes differ from shards=1", shards)
+			t.Errorf("parts=%d: snapshot round-trip through the merge not identical", n)
 		}
 	}
 }
@@ -128,7 +121,7 @@ func (l *observerLog) ObserveProduct(version uint64, ownsKey bool, p Product) {
 // reproduce the original byte for byte — including shadowed keys, where
 // replay order alone cannot decide ownership.
 func TestObserverReplayRoundTrip(t *testing.T) {
-	st := NewStoreShards(4)
+	st := NewStore()
 	var log observerLog
 	st.SetObserver(&log)
 
@@ -149,7 +142,7 @@ func TestObserverReplayRoundTrip(t *testing.T) {
 		}
 	}
 
-	got := NewStoreShards(4)
+	got := NewStore()
 	for _, rec := range log.recs {
 		if err := got.Replay(rec); err != nil {
 			t.Fatal(err)
@@ -190,7 +183,7 @@ func TestObserverReplayRoundTrip(t *testing.T) {
 // Replay must reject records that do not pass the store's own
 // validation: unknown categories, schema violations, duplicate IDs.
 func TestReplayRejectsInvalidRecords(t *testing.T) {
-	st := NewStoreShards(2)
+	st := NewStore()
 	schema := Schema{Attributes: []Attribute{{Name: AttrUPC, Kind: KindIdentifier}}}
 	if err := st.AddCategory(Category{ID: "c", Name: "c", TopLevel: "T", Schema: schema}); err != nil {
 		t.Fatal(err)
@@ -218,23 +211,17 @@ func TestReplayRejectsInvalidRecords(t *testing.T) {
 	}
 }
 
-// Snapshot holds every shard lock and the directory lock together, so a
-// capture taken while writers commit into categories on distinct shards
-// is still one consistent state: it loads, every category's version
-// equals its product count, and the key table covers exactly the keyed
-// products it captured.
-func TestSnapshotAtomicAcrossShards(t *testing.T) {
-	const shards, writers, perWriter = 8, 4, 300
-	st := NewStoreShards(shards)
+// Snapshot reads the whole store under one read lock, so a capture taken
+// while writers commit into distinct categories is still one consistent
+// state: it loads, every category's version equals its product count,
+// and the key table covers exactly the keyed products it captured.
+func TestSnapshotAtomic(t *testing.T) {
+	const writers, perWriter = 4, 300
+	st := NewStore()
 	schema := Schema{Attributes: []Attribute{{Name: AttrUPC, Kind: KindIdentifier}}}
 	var cats []string
-	used := map[int]bool{}
-	for i := 0; len(cats) < writers; i++ {
+	for i := 0; i < writers; i++ {
 		id := fmt.Sprintf("c-%d", i)
-		if used[st.shardOf(id)] {
-			continue
-		}
-		used[st.shardOf(id)] = true
 		cats = append(cats, id)
 		if err := st.AddCategory(Category{ID: id, Name: id, TopLevel: "T", Schema: schema}); err != nil {
 			t.Fatal(err)

@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync/atomic"
+	"sync"
 )
 
 // Well-known key attribute names (catalog-side vocabulary). The clustering
@@ -230,9 +230,9 @@ var (
 )
 
 // Store is the catalog: categories plus products, with indexes by
-// category and by key attribute. All methods are safe for concurrent use.
-// Categories are sharded by ID hash (see NewStoreShards), so readers and
-// writers of different categories never share a lock.
+// category and by key attribute. All methods are safe for concurrent use:
+// one RWMutex guards the whole store, so readers share it and a writer
+// holds it alone (see backend.go).
 //
 // Every mutation of a category's product set bumps that category's version
 // counter (see CategoryVersion). External caches built over a category's
@@ -240,35 +240,25 @@ var (
 // version they were built at and rebuild when it moves, so stale entries are
 // evicted without the Store knowing who caches what.
 type Store struct {
-	shards []shard
-	dir    directory
-	obs    atomic.Value // observerBox
+	mu         sync.RWMutex
+	categories map[string]*Category
+	products   map[string]*Product // product ID -> product: the ID index
+	byCategory map[string][]string // category ID -> product IDs (insertion order)
+	versions   map[string]uint64   // category ID -> mutation counter
+	byKey      map[string]string   // key value -> product ID (first insertion wins)
+	autoSeq    uint64              // next candidate suffix for AddProductAutoID
+	obs        Observer
 }
 
-// NewStore returns an empty catalog store with DefaultShards shards.
+// NewStore returns an empty catalog store.
 func NewStore() *Store {
-	return NewStoreShards(DefaultShards)
-}
-
-// NewStoreShards returns an empty catalog store with the given shard
-// count. shards values below 1 are raised to 1.
-func NewStoreShards(shards int) *Store {
-	if shards < 1 {
-		shards = 1
+	return &Store{
+		categories: make(map[string]*Category),
+		products:   make(map[string]*Product),
+		byCategory: make(map[string][]string),
+		versions:   make(map[string]uint64),
+		byKey:      make(map[string]string),
 	}
-	st := &Store{shards: make([]shard, shards)}
-	for i := range st.shards {
-		st.shards[i] = shard{
-			categories: make(map[string]*Category),
-			products:   make(map[string]*Product),
-			byCategory: make(map[string][]string),
-			versions:   make(map[string]uint64),
-		}
-	}
-	st.dir.ids = make(map[string]int)
-	st.dir.byKey = make(map[string]string)
-	st.obs.Store(observerBox{})
-	return st
 }
 
 // AddOutcome reports non-fatal conditions observed while inserting a

@@ -41,9 +41,10 @@ func validKind(k AttributeKind) bool {
 }
 
 // Snapshot is the serializable deep copy of a Store's logical state. It
-// is plain data — no locks, no index maps — so it can be encoded, moved
-// across a process boundary, or (once the store is sharded) captured per
-// shard. Obtain one with Store.Snapshot and rebuild with FromSnapshot.
+// is plain data — no locks, no index maps — so it can be encoded or moved
+// across a process boundary. Obtain one with Store.Snapshot (one
+// consistent capture under the store's read lock) and rebuild with
+// FromSnapshot.
 type Snapshot struct {
 	// Categories holds every category sorted by ID, each with its
 	// products in insertion order and its version counter.
@@ -71,15 +72,16 @@ type KeyOwner struct {
 	ProductID string
 }
 
-// MergeSnapshots combines per-shard snapshots (see Store.ShardSnapshot)
-// back into one global snapshot, restoring the deterministic ordering
-// Snapshot guarantees: categories sorted by ID, keys sorted by key. The
-// inputs must be disjoint (each category and key in exactly one shard),
+// MergeSnapshots combines several snapshots into one, restoring the
+// deterministic ordering Snapshot guarantees: categories sorted by ID,
+// keys sorted by key. It reads data directories written when the store
+// was split into category shards, one snapshot file per shard. The
+// inputs must be disjoint (each category and key in exactly one part),
 // which FromSnapshot's consistency checks enforce when the merge is
 // loaded.
-func MergeSnapshots(shards []Snapshot) Snapshot {
+func MergeSnapshots(parts []Snapshot) Snapshot {
 	var snap Snapshot
-	for _, s := range shards {
+	for _, s := range parts {
 		snap.Categories = append(snap.Categories, s.Categories...)
 		snap.Keys = append(snap.Keys, s.Keys...)
 	}
@@ -97,17 +99,10 @@ func MergeSnapshots(shards []Snapshot) Snapshot {
 // store is behaviorally identical to the one the snapshot was taken
 // from.
 func FromSnapshot(snap Snapshot) (*Store, error) {
-	return FromSnapshotShards(snap, DefaultShards)
-}
-
-// FromSnapshotShards is FromSnapshot onto a store with the given shard
-// count — the recovery entry point, where the shard count is
-// configuration rather than the default.
-func FromSnapshotShards(snap Snapshot, shards int) (*Store, error) {
 	if err := validateSnapshot(snap); err != nil {
 		return nil, err
 	}
-	st := NewStoreShards(shards)
+	st := NewStore()
 	st.loadSnapshot(snap)
 	return st, nil
 }
@@ -200,8 +195,8 @@ func EncodeStore(w io.Writer, st *Store) error {
 }
 
 // EncodeSnapshot writes one snapshot as a framed block — the same format
-// EncodeStore produces, exposed so per-shard snapshots (which are plain
-// Snapshot values) serialize independently onto the shared framing.
+// EncodeStore produces, exposed so a captured Snapshot value (the
+// durable layer's compaction) serializes onto the shared framing.
 func EncodeSnapshot(w io.Writer, snap Snapshot) error {
 	var p snapfmt.Writer
 	p.U32(uint32(len(snap.Categories)))
@@ -279,8 +274,8 @@ func DecodeStoreFrom(r io.Reader) (*Store, error) {
 }
 
 // DecodeSnapshot parses one snapshot block into a plain Snapshot without
-// building a store — the shape shard-by-shard recovery needs, where
-// several shard snapshots are merged (MergeSnapshots) and validated once
+// building a store — the shape durable recovery needs, where the
+// epoch's snapshot files are merged (MergeSnapshots) and validated once
 // by FromSnapshot. The framing and payload strictness match DecodeStore;
 // the cross-index consistency checks are FromSnapshot's job.
 func DecodeSnapshot(r io.Reader) (Snapshot, error) {

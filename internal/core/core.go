@@ -110,7 +110,7 @@ type Config struct {
 	Extraction extract.Options
 	// Matcher configures offer-to-product matching, offline and at
 	// runtime. Set Matcher.Registry to give the pipeline a private index
-	// cache with its own sharding and LRU bound
+	// cache with its own LRU bound
 	// (match.NewRegistryWithOptions); nil shares the process-wide
 	// default. The pipeline matches one offer at a time on its own pool
 	// and ignores Matcher.Workers.

@@ -304,7 +304,7 @@ func TestPrepareIncomingComposesToRunRuntime(t *testing.T) {
 func TestPrepareIncomingBoundedRegistry(t *testing.T) {
 	ds := dataset(t)
 	fetcher := MapFetcher(ds.Pages)
-	reg := match.NewRegistryWithOptions(match.RegistryOptions{Shards: 1, MaxEntries: 1})
+	reg := match.NewRegistryWithOptions(match.RegistryOptions{MaxEntries: 1})
 	cfg := Config{Workers: 4, Matcher: match.Matcher{Registry: reg}}
 	off, err := RunOffline(context.Background(), ds.Catalog, ds.HistoricalOffers, fetcher, cfg)
 	if err != nil {

@@ -1,13 +1,17 @@
 // Package durable is the out-of-core persistence layer for the catalog:
-// per-shard snapshots plus an append-only delta log, composed so that
+// a compacted snapshot plus an append-only delta log, composed so that
 // crash recovery is snapshot-load followed by log-replay.
 //
 // A Manager owns one data directory:
 //
 //	MANIFEST                 which snapshot epoch is live, and the first
 //	                         log segment it does not cover
-//	shard-<i>-<epoch>.psct   one snapfmt-framed catalog snapshot per
-//	                         catalog shard, taken at the epoch's compaction
+//	shard-<i>-<epoch>.psct   the epoch's snapfmt-framed catalog snapshot,
+//	                         taken at its compaction: Compact writes one
+//	                         file (i = 0, manifest shard count 1); a
+//	                         directory written while the catalog was split
+//	                         into shards holds one per shard, and Open
+//	                         merges them
 //	wal-<seq>.psdl           append-only log segments of CRC-framed
 //	                         ProductsSince deltas (category registrations
 //	                         and product appends), in commit order
@@ -15,7 +19,7 @@
 // Writes flow through a catalog.Observer attached to the live store, so
 // every committed mutation lands in the active log segment before the
 // caller regains control (with fsync timing governed by FsyncPolicy).
-// Compaction rotates the log, captures per-shard snapshots, atomically
+// Compaction rotates the log, captures one snapshot of the store, atomically
 // publishes a new MANIFEST (temp file + rename + directory fsync), and
 // only then deletes the segments and snapshots the new epoch obsoletes —
 // so a crash at any point leaves either the old epoch or the new one
@@ -25,11 +29,7 @@
 // segment is truncated rather than treated as corruption.
 package durable
 
-import (
-	"time"
-
-	"prodsynth/internal/catalog"
-)
+import "time"
 
 // FsyncPolicy decides when log appends are forced to stable storage.
 type FsyncPolicy int
@@ -66,15 +66,10 @@ const (
 	DefaultFsyncInterval   = 100 * time.Millisecond
 )
 
-// Options configures a Manager. The zero value is usable: default shard
-// count, fsync on every append, 4 MiB segments, and no background
-// compaction (call Compact explicitly or set SnapshotInterval).
+// Options configures a Manager. The zero value is usable: fsync on
+// every append, 4 MiB segments, and no background compaction (call
+// Compact explicitly or set SnapshotInterval).
 type Options struct {
-	// Shards is the catalog shard count for the recovered store
-	// (and the number of per-shard snapshot files written at compaction).
-	// 0 means catalog.DefaultShards. Snapshot bytes are independent of
-	// the shard count, so it may change between restarts.
-	Shards int
 	// Fsync is the log append sync policy.
 	Fsync FsyncPolicy
 	// FsyncInterval is the Run flush period under SyncInterval.
@@ -93,9 +88,6 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Shards <= 0 {
-		o.Shards = catalog.DefaultShards
-	}
 	if o.MaxSegmentBytes <= 0 {
 		o.MaxSegmentBytes = DefaultMaxSegmentBytes
 	}
@@ -113,7 +105,7 @@ type RecoveryStats struct {
 	// SnapshotEpoch is the manifest epoch the snapshots were loaded
 	// from; 0 when the directory had no manifest (fresh start).
 	SnapshotEpoch uint64
-	// SnapshotProducts counts products restored from shard snapshots.
+	// SnapshotProducts counts products restored from the snapshot.
 	SnapshotProducts int
 	// ReplayedRecords counts log records applied over the snapshot
 	// (records the snapshot already covered are counted too; applying

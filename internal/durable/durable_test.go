@@ -2,6 +2,8 @@ package durable
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"os"
@@ -128,7 +130,7 @@ func TestOpenAppendReopen(t *testing.T) {
 
 func TestCompactThenReopen(t *testing.T) {
 	dir := t.TempDir()
-	m, err := Open(dir, Options{Shards: 4})
+	m, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -149,7 +151,7 @@ func TestCompactThenReopen(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	m2, err := Open(dir, Options{Shards: 4})
+	m2, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -169,28 +171,92 @@ func TestCompactThenReopen(t *testing.T) {
 	}
 }
 
-func TestShardCountMayChangeAcrossRestarts(t *testing.T) {
+// parent8ShardSHA256 is the EncodeStore SHA-256 of the store recorded in
+// testdata/parent_8shard when that directory was written, by the store
+// that still split the catalog into 8 category shards: an epoch-1
+// manifest naming 8 snapshot files, plus a WAL tail with products, a
+// category registered after the compaction, and keys shadowed across
+// categories and across the snapshot/tail boundary.
+const parent8ShardSHA256 = "3edcbf937bc1511e26457605ba6d483d37baa325eaf56adb547e46e88caeaa04"
+
+// copyFixture copies a checked-in data directory into a fresh temp dir,
+// since Open writes to the directory it recovers.
+func copyFixture(t *testing.T, name string) string {
+	t.Helper()
+	src := filepath.Join("testdata", name)
+	ents, err := os.ReadDir(src)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	m, err := Open(dir, Options{Shards: 2})
+	for _, e := range ents {
+		b, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, e.Name()), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dir
+}
+
+func snapshotFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "shard-*.psct"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// A directory whose epoch is split over 8 shard snapshot files still
+// recovers to the same store, and its first compaction leaves exactly
+// one snapshot file: the old epoch's files are collected by the count
+// its own manifest recorded.
+func TestEightShardDirectoryOpens(t *testing.T) {
+	dir := copyFixture(t, "parent_8shard")
+	if got := len(snapshotFiles(t, dir)); got != 8 {
+		t.Fatalf("fixture has %d snapshot files, want 8", got)
+	}
+	m, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	seedStore(t, m.Store(), 12)
+	digest := func(st *catalog.Store) string {
+		sum := sha256.Sum256(storeBytes(t, st))
+		return hex.EncodeToString(sum[:])
+	}
+	if got := digest(m.Store()); got != parent8ShardSHA256 {
+		t.Fatalf("recovered store SHA-256 = %s, want %s", got, parent8ShardSHA256)
+	}
+	if s := m.Stats(); s.Recovery.SnapshotEpoch != 1 || s.Recovery.ReplayedRecords == 0 {
+		t.Fatalf("recovery did not use both the snapshots and the log tail: %+v", s.Recovery)
+	}
 	if err := m.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
-	m.Close()
+	if files := snapshotFiles(t, dir); len(files) != 1 || filepath.Base(files[0]) != snapName(0, 2) {
+		t.Fatalf("snapshot files after Compact = %v, want only %s", files, snapName(0, 2))
+	}
+	man, ok, err := readManifest(dir)
+	if err != nil || !ok {
+		t.Fatalf("readManifest: %v (found %v)", err, ok)
+	}
+	if man.Epoch != 2 || man.Shards != 1 {
+		t.Fatalf("manifest after Compact = %+v, want epoch 2 with 1 snapshot file", man)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
 
-	m2, err := Open(dir, Options{Shards: 7})
+	m2, err := Open(dir, Options{})
 	if err != nil {
-		t.Fatalf("reopen with different shard count: %v", err)
+		t.Fatalf("reopen after Compact: %v", err)
 	}
 	defer m2.Close()
-	if m2.Store().NumShards() != 7 {
-		t.Fatalf("NumShards = %d, want 7", m2.Store().NumShards())
-	}
-	if got, want := storeBytes(t, m2.Store()), referenceBytes(t, 12); !bytes.Equal(got, want) {
-		t.Fatal("snapshot bytes changed across shard-count change")
+	if got := digest(m2.Store()); got != parent8ShardSHA256 {
+		t.Fatalf("store after Compact and reopen SHA-256 = %s, want %s", got, parent8ShardSHA256)
 	}
 }
 

@@ -15,8 +15,8 @@ import (
 //	append            after the n-th record is fully written and synced
 //	append-torn       the n-th record is written only partially (a torn
 //	                  tail), synced, then the process dies
-//	compact-snapshots after compaction has written the new epoch's shard
-//	                  snapshots but before the manifest is published
+//	compact-snapshots after compaction has written the new epoch's
+//	                  snapshot but before the manifest is published
 //	compact-manifest  after the new manifest is published but before the
 //	                  old epoch's files are deleted
 //

@@ -67,9 +67,9 @@ func syncDir(dir string) error {
 // walLog is the append-only delta log: an open segment file plus the
 // rotation and sync machinery around it. It implements catalog.Observer,
 // so attaching it to a store routes every committed mutation here; the
-// observer fires inside the store's shard critical sections, and the
-// log's own mutex serializes appends from different shards into one
-// total order.
+// observer fires inside the store's write critical section, so the log
+// order is the commit order, and the log's own mutex guards the segment
+// against the manager's rotation and sync.
 //
 // Observer methods cannot return errors, so append failures (disk full,
 // I/O error) are counted and latched instead: the in-memory store stays

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,8 +17,8 @@ import (
 
 // Manager ties one catalog store to one data directory: it recovers the
 // store at Open (snapshot load + log replay), logs every later mutation
-// through an attached observer, and compacts the log into fresh per-shard
-// snapshots on demand or on a schedule (Run).
+// through an attached observer, and compacts the log into a fresh
+// snapshot on demand or on a schedule (Run).
 type Manager struct {
 	dir   string
 	opts  Options
@@ -27,6 +28,7 @@ type Manager struct {
 
 	mu          sync.Mutex // serializes Compact, Close
 	epoch       uint64
+	shards      uint32 // snapshot files of the live epoch (manifest Shards)
 	firstSeq    uint64
 	compactions uint64
 	closed      bool
@@ -34,7 +36,9 @@ type Manager struct {
 }
 
 // Open recovers (or initializes) a durable catalog in dir: load the
-// manifest's shard snapshots, merge them into one store, replay the log
+// manifest's snapshot files (one since compaction writes a single file;
+// several in a directory written while the catalog was split into
+// shards), merge them into one store, replay the log
 // segments the snapshots do not cover, truncate a torn tail if the last
 // crash left one, then open a fresh active segment and attach the logging
 // observer. After Open returns, every mutation of Store() is logged.
@@ -59,20 +63,20 @@ func Open(dir string, opts Options) (*Manager, error) {
 	if haveMan {
 		snaps := make([]catalog.Snapshot, man.Shards)
 		for i := range snaps {
-			snaps[i], err = readShardSnapshot(filepath.Join(dir, snapName(i, man.Epoch)))
+			snaps[i], err = readSnapshotFile(filepath.Join(dir, snapName(i, man.Epoch)))
 			if err != nil {
 				return nil, fmt.Errorf("durable: epoch %d shard %d: %w", man.Epoch, i, err)
 			}
 		}
 		merged := catalog.MergeSnapshots(snaps)
-		store, err = catalog.FromSnapshotShards(merged, opts.Shards)
+		store, err = catalog.FromSnapshot(merged)
 		if err != nil {
 			return nil, fmt.Errorf("durable: epoch %d: %w", man.Epoch, err)
 		}
 		rec.SnapshotEpoch = man.Epoch
 		rec.SnapshotProducts = store.NumProducts()
 	} else {
-		store = catalog.NewStoreShards(opts.Shards)
+		store = catalog.NewStore()
 	}
 
 	seqs, err := listSegments(dir)
@@ -110,6 +114,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 		log:      log,
 		kp:       kp,
 		epoch:    man.Epoch,
+		shards:   man.Shards,
 		firstSeq: man.FirstSeq,
 		recovery: rec,
 	}, nil
@@ -151,8 +156,8 @@ func removeOrphans(dir string, man manifest) error {
 	return nil
 }
 
-// readShardSnapshot loads one shard snapshot file.
-func readShardSnapshot(path string) (catalog.Snapshot, error) {
+// readSnapshotFile loads one snapshot file.
+func readSnapshotFile(path string) (catalog.Snapshot, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return catalog.Snapshot{}, err
@@ -176,9 +181,10 @@ func (m *Manager) Store() *catalog.Store { return m.store }
 func (m *Manager) Dir() string { return m.dir }
 
 // Compact folds the log into a new snapshot epoch: rotate the log,
-// capture one snapshot per shard (temp + rename, each fsynced), publish
-// a manifest naming the new epoch, then delete the files the new epoch
-// obsoletes. Appends proceed concurrently throughout — only the rotation
+// capture the store in one snapshot file (temp + rename, fsynced),
+// publish a manifest naming the new epoch, then delete the files the new
+// epoch obsoletes — the previous epoch's snapshot files, as many as its
+// manifest counted. Appends proceed concurrently throughout — only the rotation
 // itself takes the log lock. Crash-safe at every step: until the
 // manifest rename commits, recovery uses the old epoch and replays the
 // old segments; after it, the stale files are orphans the next Open
@@ -194,20 +200,21 @@ func (m *Manager) Compact() error {
 		return err
 	}
 	epoch := m.epoch + 1
-	shards := m.store.NumShards()
-	for i := 0; i < shards; i++ {
-		if err := writeShardSnapshot(m.dir, i, epoch, m.store.ShardSnapshot(i)); err != nil {
-			return err
-		}
+	snap := m.store.Snapshot()
+	err = writeFileAtomic(m.dir, snapName(0, epoch), func(w io.Writer) error {
+		return catalog.EncodeSnapshot(w, snap)
+	})
+	if err != nil {
+		return err
 	}
 	m.kp.maybeKill("compact-snapshots")
-	if err := writeManifest(m.dir, manifest{Epoch: epoch, Shards: uint32(shards), FirstSeq: retainSeq}); err != nil {
+	if err := writeManifest(m.dir, manifest{Epoch: epoch, Shards: 1, FirstSeq: retainSeq}); err != nil {
 		return err
 	}
 	m.kp.maybeKill("compact-manifest")
 	// The new epoch is durable; everything below is garbage collection,
 	// and a crash here just leaves orphans for the next Open.
-	for i := 0; i < shards; i++ {
+	for i := 0; i < int(m.shards); i++ {
 		_ = os.Remove(filepath.Join(m.dir, snapName(i, m.epoch)))
 	}
 	seqs, err := listSegments(m.dir)
@@ -219,22 +226,24 @@ func (m *Manager) Compact() error {
 		}
 	}
 	m.epoch = epoch
+	m.shards = 1
 	m.firstSeq = retainSeq
 	m.compactions++
 	m.log.setBaseline(markRecords, markBytes)
 	return nil
 }
 
-// writeShardSnapshot encodes one shard snapshot to its immutable file
-// via temp + rename + directory fsync.
-func writeShardSnapshot(dir string, shard int, epoch uint64, snap catalog.Snapshot) error {
-	final := filepath.Join(dir, snapName(shard, epoch))
+// writeFileAtomic writes dir/name through encode without ever exposing
+// a partial file: encode into name.tmp, fsync it, close it, rename it
+// over name, and fsync the directory so the rename itself is durable.
+func writeFileAtomic(dir, name string, encode func(io.Writer) error) error {
+	final := filepath.Join(dir, name)
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if err := catalog.EncodeSnapshot(f, snap); err != nil {
+	if err := encode(f); err != nil {
 		f.Close()
 		return err
 	}

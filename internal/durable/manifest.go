@@ -3,6 +3,7 @@ package durable
 import (
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -27,10 +28,12 @@ const maxManifestPayload = 1 << 16
 
 // manifest names the live snapshot epoch and the log position it covers.
 type manifest struct {
-	// Epoch identifies the live shard snapshot files
+	// Epoch identifies the live snapshot files
 	// (shard-<i>-<Epoch>.psct); 1 is the first compaction.
 	Epoch uint64
-	// Shards is how many shard snapshot files the epoch has.
+	// Shards is how many snapshot files the epoch has: 1 for every
+	// epoch Compact writes, more in a directory written while the
+	// catalog was split into shards.
 	Shards uint32
 	// FirstSeq is the first log segment the snapshots do NOT cover:
 	// recovery replays segments >= FirstSeq, and compaction deletes
@@ -38,40 +41,22 @@ type manifest struct {
 	FirstSeq uint64
 }
 
-// snapName is the immutable per-shard snapshot file of one epoch.
-func snapName(shard int, epoch uint64) string {
-	return fmt.Sprintf("shard-%d-%d.psct", shard, epoch)
+// snapName is the i-th immutable snapshot file of one epoch.
+func snapName(i int, epoch uint64) string {
+	return fmt.Sprintf("shard-%d-%d.psct", i, epoch)
 }
 
-// writeManifest atomically replaces the manifest: frame to a temp file,
-// fsync it, rename over MANIFEST, fsync the directory. A crash anywhere
-// in between leaves the old manifest (and its still-undeleted files)
-// fully intact.
+// writeManifest atomically replaces the manifest (writeFileAtomic): a
+// crash at any step leaves the old manifest (and its still-undeleted
+// files) fully intact.
 func writeManifest(dir string, m manifest) error {
 	var p snapfmt.Writer
 	p.U64(m.Epoch)
 	p.U32(m.Shards)
 	p.U64(m.FirstSeq)
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if err := snapfmt.Encode(f, manifestMagic, manifestVersion, maxManifestPayload, p.Bytes()); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return writeFileAtomic(dir, manifestName, func(w io.Writer) error {
+		return snapfmt.Encode(w, manifestMagic, manifestVersion, maxManifestPayload, p.Bytes())
+	})
 }
 
 // readManifest loads the manifest; ok is false when none exists yet

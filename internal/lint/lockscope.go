@@ -6,10 +6,10 @@ import (
 	"strings"
 )
 
-// lockScopePackages are where shard mutexes live: the sharded catalog
-// store and the sharded match registry. Their critical sections are the
-// hottest locks in the repo — a fetch, channel wait, or fsync inside one
-// stalls every writer on the shard.
+// lockScopePackages are where the hot mutexes live: the catalog store's
+// one RWMutex and the match registry's one mutex. Each guards its whole
+// structure, so a fetch, channel wait, or fsync inside a critical section
+// stalls every reader and writer of the catalog or of the registry.
 var lockScopePackages = map[string]bool{
 	"prodsynth/internal/catalog": true,
 	"prodsynth/internal/match":   true,
@@ -20,7 +20,7 @@ var lockScopePackages = map[string]bool{
 // Sync), fetcher calls, and invocations of function-typed parameters
 // (user callbacks). The one documented exception is the catalog.Observer
 // hook — Observe* method calls are the WAL's commit point and run inside
-// the shard critical section by design.
+// the store's write critical section by design.
 //
 // The pass is per-function and position-based: a region counts as locked
 // from an x.Lock()/x.RLock() call to the matching same-receiver unlock
@@ -66,8 +66,7 @@ func checkLockScope(pass *Pass, f *File, fd *ast.FuncDecl) {
 		switch n := n.(type) {
 		case *ast.DeferStmt:
 			// A deferred unlock holds the lock to function end. A deferred
-			// func literal containing unlocks (the multi-shard snapshot
-			// pattern) counts the same way.
+			// func literal containing unlocks counts the same way.
 			ast.Inspect(n.Call.Fun, func(inner ast.Node) bool {
 				if call, ok := inner.(*ast.CallExpr); ok {
 					if recv, op := mutexOp(call); op == "Unlock" || op == "RUnlock" {

@@ -104,22 +104,75 @@ func TestRegistryIncrementalEqualsColdBuild(t *testing.T) {
 }
 
 // TestRegistryShardCountInvariance asserts byte-identical matcher output
-// across shard counts and entry bounds (the sharding acceptance
-// criterion), crossed with worker counts.
+// across entry bounds, crossed with worker counts: the bound only decides
+// what is rebuilt, never what matches.
 func TestRegistryShardCountInvariance(t *testing.T) {
 	st := testStore(t)
 	growStore(t, st, "hd", 0, 10)
 	set := mixedOffers(300)
 
-	base := Matcher{Workers: 1, Registry: NewRegistryWithOptions(RegistryOptions{Shards: 1})}.Run(st, set)
-	for _, opts := range []RegistryOptions{
-		{Shards: 2}, {Shards: 3}, {Shards: 8}, {Shards: 32},
-		{Shards: 4, MaxEntries: 1}, {Shards: 1, MaxEntries: 1},
-	} {
+	base := Matcher{Workers: 1, Registry: NewRegistry()}.Run(st, set)
+	for _, maxEntries := range []int{0, 1, 2, 3} {
 		for _, workers := range []int{1, 8} {
-			m := Matcher{Workers: workers, Registry: NewRegistryWithOptions(opts)}
+			m := Matcher{Workers: workers, Registry: NewRegistryWithOptions(RegistryOptions{MaxEntries: maxEntries})}
 			got := m.Run(st, set)
-			assertSameMatches(t, fmt.Sprintf("opts=%+v workers=%d", opts, workers), base, got)
+			assertSameMatches(t, fmt.Sprintf("maxEntries=%d workers=%d", maxEntries, workers), base, got)
+		}
+	}
+}
+
+// TestRegistryMaxEntriesExact pins MaxEntries as an exact global bound:
+// touching nine categories through a three-entry registry never caches
+// more than three, and matcher output equals an unbounded registry's.
+func TestRegistryMaxEntriesExact(t *testing.T) {
+	const cats, bound = 9, 3
+	st := catalog.NewStore()
+	schema := catalog.Schema{Attributes: []catalog.Attribute{{Name: "Brand"}, {Name: "Model"}}}
+	var offs []offer.Offer
+	for c := 0; c < cats; c++ {
+		id := fmt.Sprintf("c%d", c)
+		if err := st.AddCategory(catalog.Category{ID: id, Name: id, TopLevel: "T", Schema: schema}); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			model := fmt.Sprintf("Model %d-%d", c, i)
+			err := st.AddProduct(catalog.Product{
+				ID: fmt.Sprintf("p-%d-%d", c, i), CategoryID: id,
+				Spec: catalog.Spec{{Name: "Brand", Value: "Acme"}, {Name: "Model", Value: model}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			offs = append(offs, offer.Offer{
+				ID: fmt.Sprintf("o-%d-%d", c, i), Merchant: "m", CategoryID: id,
+				Title: "Acme " + model,
+			})
+		}
+	}
+
+	reg := NewRegistryWithOptions(RegistryOptions{MaxEntries: bound})
+	for round := 0; round < 3; round++ {
+		for c := 0; c < cats; c++ {
+			reg.TitleIndex(st, fmt.Sprintf("c%d", (c*4+round)%cats))
+			if got := reg.Entries(); got > bound {
+				t.Fatalf("round %d, lookup %d: Entries = %d, want <= %d", round, c, got, bound)
+			}
+		}
+	}
+	if got := reg.Entries(); got != bound {
+		t.Errorf("Entries = %d, want %d once more categories than the bound were touched", got, bound)
+	}
+
+	set := offer.NewSet(offs)
+	base := Matcher{Workers: 1, Registry: NewRegistry()}.Run(st, set)
+	if base.Len() == 0 {
+		t.Fatal("no matches; the output comparison would be vacuous")
+	}
+	for _, workers := range []int{1, 4} {
+		got := Matcher{Workers: workers, Registry: reg}.Run(st, set)
+		assertSameMatches(t, fmt.Sprintf("workers=%d", workers), base, got)
+		if n := reg.Entries(); n > bound {
+			t.Fatalf("workers=%d: Entries = %d after a run, want <= %d", workers, n, bound)
 		}
 	}
 }
@@ -129,7 +182,7 @@ func TestRegistryShardCountInvariance(t *testing.T) {
 // category rebuilds.
 func TestRegistryLRUEviction(t *testing.T) {
 	st := testStore(t)
-	reg := NewRegistryWithOptions(RegistryOptions{Shards: 1, MaxEntries: 1})
+	reg := NewRegistryWithOptions(RegistryOptions{MaxEntries: 1})
 	m := Matcher{Registry: reg}
 
 	hd := manyOffers(10, "hd", "Western Digital Raptor X")

@@ -56,7 +56,7 @@ func NewTitleIndex(products []catalog.Product) *TitleIndex {
 // cold build over the concatenated product list. prev stays valid for
 // concurrent Match calls (appends touch only slots past its lengths), but
 // extends of the same lineage must be serialized by the caller — the
-// registry does so under its shard lock via the entry chain.
+// registry does so under its lock via the entry chain.
 func (idx *TitleIndex) extend(added []catalog.Product) *TitleIndex {
 	if len(added) == 0 {
 		return idx

@@ -26,43 +26,30 @@ import (
 // instead of re-tokenizing the whole category. In-flight matches keep the
 // snapshot they started with.
 //
-// The entry map is split into shards picked by category hash, so
-// concurrent matches in different categories contend on a shard lock
-// rather than one global mutex, and each shard keeps an LRU over its
-// entries: with a MaxEntries bound configured, cold categories are
-// evicted and simply rebuild on their next touch. See RegistryOptions.
+// One mutex guards the entry map and its LRU. A bound matcher
+// (Matcher.Bind) looks each category up once per run, not once per offer,
+// so the lock sees a handful of acquisitions per run and nothing to
+// spread. With a MaxEntries bound configured, the least recently touched
+// categories are evicted and simply rebuild on their next touch. See
+// RegistryOptions.
 //
 // All methods are safe for concurrent use.
 type Registry struct {
-	shards      []registryShard
-	maxPerShard int // 0 = unbounded
-	builds      atomic.Int64
-	deltas      atomic.Int64
+	mu         sync.Mutex
+	entries    map[registryKey]*registryEntry
+	lru        list.List // front = most recently touched; values are registryKey
+	maxEntries int       // <= 0: unbounded
+	builds     atomic.Int64
+	deltas     atomic.Int64
 }
 
-// RegistryOptions configures a Registry. The zero value applies defaults.
+// RegistryOptions configures a Registry. The zero value is unbounded.
 type RegistryOptions struct {
-	// Shards is the number of lock shards the entry map is split into
-	// (default 8). More shards cut lock contention at high category
-	// counts; output is identical for every value.
-	Shards int
 	// MaxEntries bounds the number of cached category entries; 0 means
-	// unbounded. The bound is distributed over the shards
-	// (ceil(MaxEntries/Shards) each) and enforced per shard with LRU
-	// eviction, so it is approximate in both directions: a skewed
-	// category→shard distribution can evict before the global total
-	// reaches MaxEntries, and the rounded-up per-shard capacities can
-	// hold up to Shards-1 entries more than it. Size memory budgets
-	// with that slack in mind. Evicted categories rebuild on next touch.
+	// unbounded. The bound is exact: once a new entry would exceed it,
+	// the least recently touched entry is evicted. Evicted categories
+	// rebuild on next touch.
 	MaxEntries int
-}
-
-const defaultRegistryShards = 8
-
-type registryShard struct {
-	mu      sync.Mutex
-	entries map[registryKey]*registryEntry
-	lru     list.List // front = most recently touched; values are registryKey
 }
 
 type registryKey struct {
@@ -74,7 +61,7 @@ type registryKey struct {
 // the index builds lazily on first touch.
 type registryEntry struct {
 	version uint64        // store version observed when the entry was created
-	elem    *list.Element // LRU position in the owning shard
+	elem    *list.Element // LRU position
 
 	// Lineage for incremental index updates: when this entry replaces a
 	// stale one whose index was already built, prevIndex/prevVersion seed
@@ -100,35 +87,12 @@ func NewRegistry() *Registry {
 }
 
 // NewRegistryWithOptions returns an empty registry with the given
-// sharding and memory bounds.
+// memory bound.
 func NewRegistryWithOptions(o RegistryOptions) *Registry {
-	n := o.Shards
-	if n <= 0 {
-		n = defaultRegistryShards
+	return &Registry{
+		entries:    make(map[registryKey]*registryEntry),
+		maxEntries: o.MaxEntries,
 	}
-	r := &Registry{shards: make([]registryShard, n)}
-	for i := range r.shards {
-		r.shards[i].entries = make(map[registryKey]*registryEntry)
-	}
-	if o.MaxEntries > 0 {
-		r.maxPerShard = (o.MaxEntries + n - 1) / n
-	}
-	return r
-}
-
-// shardFor picks the shard for a key by FNV-1a over the category name.
-// The store pointer is left out: registries overwhelmingly serve one
-// store, and hash quality across categories is what spreads the locks.
-func (r *Registry) shardFor(k registryKey) *registryShard {
-	if len(r.shards) == 1 {
-		return &r.shards[0]
-	}
-	h := uint32(2166136261)
-	for i := 0; i < len(k.category); i++ {
-		h ^= uint32(k.category[i])
-		h *= 16777619
-	}
-	return &r.shards[h%uint32(len(r.shards))]
 }
 
 // entry returns the live cache entry for (store, category), replacing any
@@ -139,12 +103,11 @@ func (r *Registry) shardFor(k registryKey) *registryShard {
 func (r *Registry) entry(store *catalog.Store, category string) *registryEntry {
 	v := store.CategoryVersion(category)
 	k := registryKey{store: store, category: category}
-	sh := r.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.entries[k]
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	e := r.entries[k]
 	if e != nil && e.version >= v {
-		sh.lru.MoveToFront(e.elem)
+		r.lru.MoveToFront(e.elem)
 		return e
 	}
 	ne := &registryEntry{version: v}
@@ -153,16 +116,14 @@ func (r *Registry) entry(store *catalog.Store, category string) *registryEntry {
 			ne.prevIndex = e.index
 			ne.prevVersion = e.idxVersion.Load()
 		}
-		sh.lru.Remove(e.elem)
+		r.lru.Remove(e.elem)
 	}
-	ne.elem = sh.lru.PushFront(k)
-	sh.entries[k] = ne
-	if r.maxPerShard > 0 {
-		for len(sh.entries) > r.maxPerShard {
-			back := sh.lru.Back()
-			sh.lru.Remove(back)
-			delete(sh.entries, back.Value.(registryKey))
-		}
+	ne.elem = r.lru.PushFront(k)
+	r.entries[k] = ne
+	for r.maxEntries > 0 && len(r.entries) > r.maxEntries {
+		back := r.lru.Back()
+		r.lru.Remove(back)
+		delete(r.entries, back.Value.(registryKey))
 	}
 	return ne
 }
@@ -211,17 +172,12 @@ func (r *Registry) Builds() int64 { return r.builds.Load() }
 // applied after a category version bump) the registry has performed.
 func (r *Registry) Deltas() int64 { return r.deltas.Load() }
 
-// Entries reports the number of cached category entries across all
-// shards — the quantity RegistryOptions.MaxEntries bounds.
+// Entries reports the number of cached category entries — the quantity
+// RegistryOptions.MaxEntries bounds.
 func (r *Registry) Entries() int {
-	n := 0
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		n += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return n
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.entries)
 }
 
 // Invalidate drops the cached entry for one (store, category) pair.
@@ -230,12 +186,11 @@ func (r *Registry) Entries() int {
 // see. The next touch rebuilds cold.
 func (r *Registry) Invalidate(store *catalog.Store, category string) {
 	k := registryKey{store: store, category: category}
-	sh := r.shardFor(k)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if e := sh.entries[k]; e != nil {
-		sh.lru.Remove(e.elem)
-		delete(sh.entries, k)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if e := r.entries[k]; e != nil {
+		r.lru.Remove(e.elem)
+		delete(r.entries, k)
 	}
 }
 
@@ -243,15 +198,12 @@ func (r *Registry) Invalidate(store *catalog.Store, category string) {
 // the store reference) held for it. Call when a store goes out of use in a
 // long-lived process.
 func (r *Registry) ReleaseStore(store *catalog.Store) {
-	for i := range r.shards {
-		sh := &r.shards[i]
-		sh.mu.Lock()
-		for k, e := range sh.entries {
-			if k.store == store {
-				sh.lru.Remove(e.elem)
-				delete(sh.entries, k)
-			}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for k, e := range r.entries {
+		if k.store == store {
+			r.lru.Remove(e.elem)
+			delete(r.entries, k)
 		}
-		sh.mu.Unlock()
 	}
 }

@@ -33,6 +33,9 @@
 //     413 without being decoded further, and Run's http.Server bounds how
 //     long a client may take to send its headers and how long an idle
 //     keep-alive connection stays open.
+//   - Panic recovery: a panicking handler is answered 500 and counted
+//     like any other request, and a panicking Reload is a failed reload;
+//     neither takes the daemon down.
 package serve
 
 import (
@@ -43,6 +46,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -79,8 +83,9 @@ type Options struct {
 	// Reload produces a replacement Model for /v1/reload — typically a
 	// background re-Learn over fresh historical data, or re-reading a
 	// bundle. Nil disables the endpoint (501). It runs outside any
-	// request deadline; errors are reported to the /v1/reload caller (in
-	// wait mode) and counted in synthd_reloads_total{result="error"}.
+	// request deadline; errors, and panics (recovered as errors), are
+	// reported to the /v1/reload caller (in wait mode) and counted in
+	// synthd_reloads_total{result="error"}.
 	Reload func(ctx context.Context) (*prodsynth.Model, error)
 	// WrapFetcher, when set, wraps the page fetcher built from each
 	// request's pages before synthesis — the seam for a ResilientFetcher
@@ -203,16 +208,34 @@ func (s *Server) Run(ctx context.Context, ln net.Listener) error {
 func (s *Server) Draining() bool { return s.draining.Load() }
 
 // instrument wraps a handler with request counting and latency
-// observation, labeled by endpoint and status code.
+// observation, labeled by endpoint and status code. It also recovers a
+// handler panic: the request is answered 500 when nothing was written
+// yet, and counted as a 500 either way. A response already under way
+// cannot change its status, so its connection is dropped after counting
+// (http.ErrAbortHandler), and the client sees it cut short.
 func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		defer func() {
+			p := recover()
+			midResponse := p != nil && sw.wrote
+			if p != nil {
+				s.opts.Logger.Printf("synthd: panic serving %s: %v\n%s", endpoint, p, debug.Stack())
+				if !midResponse {
+					writeError(sw, http.StatusInternalServerError, "internal error")
+				}
+				sw.code = http.StatusInternalServerError
+			}
+			s.reg.Counter("synthd_requests_total", "HTTP requests served.",
+				"endpoint", endpoint, "code", fmt.Sprint(sw.code)).Inc()
+			s.reg.Histogram("synthd_request_seconds", "HTTP request latency in seconds.",
+				"endpoint", endpoint).Observe(time.Since(start).Seconds())
+			if midResponse {
+				panic(http.ErrAbortHandler)
+			}
+		}()
 		h(sw, r)
-		s.reg.Counter("synthd_requests_total", "HTTP requests served.",
-			"endpoint", endpoint, "code", fmt.Sprint(sw.code)).Inc()
-		s.reg.Histogram("synthd_request_seconds", "HTTP request latency in seconds.",
-			"endpoint", endpoint).Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -230,16 +253,23 @@ func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 	}
 }
 
-// statusWriter records the status code written (and forwards Flush, which
-// the NDJSON stream handler depends on).
+// statusWriter records the status code written and whether anything was
+// (and forwards Flush, which the NDJSON stream handler depends on).
 type statusWriter struct {
 	http.ResponseWriter
-	code int
+	code  int
+	wrote bool
 }
 
 func (w *statusWriter) WriteHeader(code int) {
 	w.code = code
+	w.wrote = true
 	w.ResponseWriter.WriteHeader(code)
+}
+
+func (w *statusWriter) Write(b []byte) (int, error) {
+	w.wrote = true
+	return w.ResponseWriter.Write(b)
 }
 
 func (w *statusWriter) Flush() {
@@ -443,23 +473,11 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	wait := r.URL.Query().Get("wait") != ""
 	done := make(chan error, 1)
 	go func() {
-		defer s.reloading.Store(false)
-		// Deliberately not the request context: a background reload must
-		// survive the 202 response (and the client's disconnect).
-		//lint:allow ctxfirst background reload outliving the triggering request is the endpoint's contract
-		model, err := s.opts.Reload(context.Background())
-		if err != nil {
-			s.reg.Counter("synthd_reloads_total", "Hot reloads by outcome.", "result", "error").Inc()
-			s.opts.Logger.Printf("synthd: reload failed: %v", err)
-			done <- err
-			return
-		}
-		s.sys.Use(model)
-		gen := s.sys.Generation()
-		s.modelGen.Set(int64(gen))
-		s.reg.Counter("synthd_reloads_total", "Hot reloads by outcome.", "result", "ok").Inc()
-		s.opts.Logger.Printf("synthd: reload complete, serving model generation %d", gen)
-		done <- nil
+		err := s.reload()
+		// Cleared before the waiter hears the outcome, so a reload it
+		// sends next is never refused as concurrent.
+		s.reloading.Store(false)
+		done <- err
 	}()
 
 	w.Header().Set("Content-Type", "application/json")
@@ -479,4 +497,33 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		"status":     "ok",
 		"generation": s.sys.Generation(),
 	})
+}
+
+// reload runs Options.Reload and swaps its model in, counting the
+// outcome. A panic in Reload is recovered as a failed reload, so a broken
+// re-learn cannot take the daemon down.
+func (s *Server) reload() (err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			err = fmt.Errorf("panic: %v", p)
+			s.opts.Logger.Printf("synthd: panic in reload: %v\n%s", p, debug.Stack())
+		}
+		if err != nil {
+			s.reg.Counter("synthd_reloads_total", "Hot reloads by outcome.", "result", "error").Inc()
+			s.opts.Logger.Printf("synthd: reload failed: %v", err)
+		}
+	}()
+	// Deliberately not the request context: a background reload must
+	// survive the 202 response (and the client's disconnect).
+	//lint:allow ctxfirst background reload outliving the triggering request is the endpoint's contract
+	model, err := s.opts.Reload(context.Background())
+	if err != nil {
+		return err
+	}
+	s.sys.Use(model)
+	gen := s.sys.Generation()
+	s.modelGen.Set(int64(gen))
+	s.reg.Counter("synthd_reloads_total", "Hot reloads by outcome.", "result", "ok").Inc()
+	s.opts.Logger.Printf("synthd: reload complete, serving model generation %d", gen)
+	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -720,6 +721,93 @@ func TestOversizedBodyRejected(t *testing.T) {
 	for _, want := range []string{
 		`synthd_requests_total{endpoint="synthesize",code="413"} 1`,
 		`synthd_requests_total{endpoint="synthesize",code="200"} 1`,
+	} {
+		if !strings.Contains(m, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestHandlerPanicRecovered: a handler that panics is answered 500 with a
+// JSON error and counted under code="500"; its admission slot is
+// released (with one slot, a leak would shed the next request with 429)
+// and the next request gets 200.
+func TestHandlerPanicRecovered(t *testing.T) {
+	ds, sys := learnedSystem(t)
+	var panicked atomic.Bool
+	ts := httptest.NewServer(serve.New(sys, serve.Options{
+		MaxInFlight: 1,
+		Logger:      log.New(io.Discard, "", 0),
+		WrapFetcher: func(pf prodsynth.PageFetcher) prodsynth.PageFetcher {
+			if panicked.CompareAndSwap(false, true) {
+				panic("wrap fetcher exploded")
+			}
+			return pf
+		},
+	}))
+	defer ts.Close()
+
+	resp, body := post(t, ts.Client(), ts.URL+"/v1/synthesize", synthesizeRequest(ds))
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking request: status = %d, want 500; body %s", resp.StatusCode, body)
+	}
+	var e serve.ErrorResponse
+	if err := json.Unmarshal(body, &e); err != nil || e.Error == "" {
+		t.Fatalf("panicking request: body %q is not a JSON error (%v)", body, err)
+	}
+	if resp, body := post(t, ts.Client(), ts.URL+"/v1/synthesize", synthesizeRequest(ds)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the panic: status = %d, body %s", resp.StatusCode, body)
+	}
+	m := scrapeMetrics(t, ts)
+	for _, want := range []string{
+		`synthd_requests_total{endpoint="synthesize",code="500"} 1`,
+		`synthd_requests_total{endpoint="synthesize",code="200"} 1`,
+		"synthd_inflight_requests 0",
+		"synthd_shed_total 0",
+	} {
+		if !strings.Contains(m, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+}
+
+// TestReloadPanicRecovered: a Reload that panics is a failed reload, not
+// a crash: wait mode answers 500, the failure is counted, the endpoint is
+// free again, and the next reload swaps the model in.
+func TestReloadPanicRecovered(t *testing.T) {
+	_, sys := learnedSystem(t)
+	model := sys.Model()
+	var calls atomic.Int64
+	ts := httptest.NewServer(serve.New(sys, serve.Options{
+		Logger: log.New(io.Discard, "", 0),
+		Reload: func(context.Context) (*prodsynth.Model, error) {
+			if calls.Add(1) == 1 {
+				panic("re-learn exploded")
+			}
+			return model, nil
+		},
+	}))
+	defer ts.Close()
+
+	gen := sys.Generation()
+	resp, body := post(t, ts.Client(), ts.URL+"/v1/reload?wait=1", struct{}{})
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("panicking reload: status = %d, want 500; body %s", resp.StatusCode, body)
+	}
+	if sys.Generation() != gen {
+		t.Fatalf("panicking reload moved the generation to %d", sys.Generation())
+	}
+	resp, body = post(t, ts.Client(), ts.URL+"/v1/reload?wait=1", struct{}{})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("reload after the panic: status = %d, want 200; body %s", resp.StatusCode, body)
+	}
+	if sys.Generation() != gen+1 {
+		t.Fatalf("generation = %d after a good reload, want %d", sys.Generation(), gen+1)
+	}
+	m := scrapeMetrics(t, ts)
+	for _, want := range []string{
+		`synthd_reloads_total{result="error"} 1`,
+		`synthd_reloads_total{result="ok"} 1`,
 	} {
 		if !strings.Contains(m, want) {
 			t.Errorf("metrics missing %q", want)

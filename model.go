@@ -84,7 +84,7 @@ func WithStrictPages(strict bool) Option { return func(c *Config) { c.StrictPage
 func WithFetchPolicy(p FetchPolicy) Option { return func(c *Config) { c.Fetch = p } }
 
 // WithMatchRegistry gives the pipeline a private match-index cache with
-// its own sharding and memory bound instead of the process-wide default.
+// its own memory bound instead of the process-wide default.
 func WithMatchRegistry(reg *MatchRegistry) Option {
 	return func(c *Config) { c.Matcher.Registry = reg }
 }
