@@ -72,6 +72,11 @@ func realMain() int {
 		flag.Usage()
 		return 2
 	}
+	gen, err := scaleConfig(*scale)
+	if err != nil {
+		log.Print(err)
+		return 2
+	}
 
 	// The heap-profile defer is registered before the CPU-profile ones,
 	// so it runs last (LIFO): the snapshot is taken after CPU profiling
@@ -115,11 +120,11 @@ func realMain() int {
 		w = f
 	}
 
-	err := run(w, runConfig{
+	err = run(w, runConfig{
 		all: *all, table2: *table2, table3: *table3, table4: *table4,
 		fig6: *fig6, fig7: *fig7, fig8: *fig8, fig9: *fig9, ablate: *ablate,
 		nstream: *nstream, faults: *faults,
-		scale: *scale, seed: *seed, workers: *workers,
+		scale: *scale, gen: gen, seed: *seed, workers: *workers,
 	})
 	if err != nil {
 		log.Print(err)
@@ -134,12 +139,13 @@ type runConfig struct {
 	nstream                        int
 	faults                         bool
 	scale                          string
+	gen                            synth.Config
 	seed                           int64
 	workers                        int
 }
 
 func run(w io.Writer, rc runConfig) error {
-	gen := scaleConfig(rc.scale)
+	gen := rc.gen
 	gen.Seed = rc.seed
 	start := time.Now()
 	fmt.Fprintf(w, "# prodsynth experiments — scale=%s seed=%d\n", rc.scale, rc.seed)
@@ -264,14 +270,18 @@ func runStreamReplay(w io.Writer, env *experiments.Env, n int) error {
 	return nil
 }
 
-func scaleConfig(scale string) synth.Config {
+// scaleConfig returns the marketplace generator settings for a -scale
+// name, or an error for a name it does not know.
+func scaleConfig(scale string) (synth.Config, error) {
 	switch scale {
 	case "small":
-		return synth.Config{CategoriesPerDomain: 2, ProductsPerCategory: 20, Merchants: 24}
+		return synth.Config{CategoriesPerDomain: 2, ProductsPerCategory: 20, Merchants: 24}, nil
+	case "medium":
+		return synth.Config{CategoriesPerDomain: 4, ProductsPerCategory: 60, Merchants: 60}, nil
 	case "large":
-		return synth.ExperimentConfig()
+		return synth.ExperimentConfig(), nil
 	default:
-		return synth.Config{CategoriesPerDomain: 4, ProductsPerCategory: 60, Merchants: 60}
+		return synth.Config{}, fmt.Errorf("unknown -scale %q: want small|medium|large", scale)
 	}
 }
 

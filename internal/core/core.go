@@ -17,14 +17,15 @@
 //
 // Concurrency model: everything before clustering is a chain of per-offer
 // steps — classify, extract, match against the catalog, reconcile — run
-// as one function per offer on a bounded worker pool (Config.Workers),
-// results in input order, so output is identical for every worker count.
+// as one function per offer on internal/pipe's worker pool
+// (pipe.MapSlice, Config.Workers goroutines), results in input order, so
+// output is identical for every worker count.
 // Matching state is shared through the match package's index registry,
 // and each run takes a category's index from it once (match.Bound), so
 // concurrent offers neither rebuild each other's indexes nor take a
 // registry lock per offer. Clustering stays global (clusters may span
 // categories when the category classifier errs on individual offers, §2);
-// value fusion then fans out again, one task per cluster.
+// value fusion then runs on the same pool, one task per cluster.
 package core
 
 import (
@@ -33,6 +34,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"prodsynth/internal/catalog"
 	"prodsynth/internal/categorize"
@@ -193,8 +195,8 @@ func (c Config) withDefaults() Config {
 // proceeded feed-only — plus a coarse one-attempt-per-offer counter
 // fallback for plain fetchers.
 type fetchTally struct {
-	mu        sync.Mutex
-	attempted int
+	attempted atomic.Int64
+	mu        sync.Mutex // guards feedOnly
 	feedOnly  []string
 }
 
@@ -203,9 +205,7 @@ func (t *fetchTally) attempt() {
 	if t == nil {
 		return
 	}
-	t.mu.Lock()
-	t.attempted++
-	t.mu.Unlock()
+	t.attempted.Add(1)
 }
 
 // degraded records an offer that proceeded on feed spec alone. nil-safe.
@@ -229,11 +229,8 @@ func (t *fetchTally) report(cs fetch.CounterSource, before fetch.Counters) fetch
 	if cs != nil {
 		rep.Counters = cs.FetchCounters().Sub(before)
 	} else {
-		rep.Counters = fetch.Counters{
-			Attempted: t.attempted,
-			Attempts:  t.attempted,
-			GaveUp:    len(t.feedOnly),
-		}
+		n := int(t.attempted.Load())
+		rep.Counters = fetch.Counters{Attempted: n, Attempts: n, GaveUp: len(t.feedOnly)}
 	}
 	if len(t.feedOnly) > 0 {
 		rep.FeedOnly = append([]string(nil), t.feedOnly...)
@@ -292,7 +289,7 @@ type OfflineStats struct {
 // RunOffline executes the offline learning phase. Classification,
 // extraction and historical matching run on the runtime's own per-offer
 // front half (frontHalf, without reconciliation), so cancellation of ctx
-// is observed at every stage pull and between steps; the error is then
+// is observed before every offer and between steps; the error is then
 // ctx.Err() and every pool goroutine has already been joined.
 //
 // Config.StrictPages applies here exactly as at runtime: by default a
@@ -453,15 +450,18 @@ func PrepareIncoming(ctx context.Context, store *catalog.Store, offline *Offline
 	return prep, nil
 }
 
-// FuseClusters drains FuseStage over the clusters: value fusion fans out
-// across the worker pool, one task per cluster, results in cluster order.
+// FuseClusters runs value fusion over the clusters on cfg.Workers
+// goroutines, one task per cluster, results in cluster order.
 // It is safe to call repeatedly on overlapping cluster snapshots: fusion
 // is a pure function of each cluster's member offers, so re-fusing an
 // extended cluster yields exactly what fusing it whole would have (the
 // streaming pipeline's contract). A cancelled ctx returns ctx.Err() and
 // no products.
 func FuseClusters(ctx context.Context, clusters []cluster.Cluster, cfg Config) ([]fusion.Synthesized, error) {
-	return pipe.Collect(ctx, FuseStage(cfg)(pipe.FromSlice(clusters)))
+	cfg = cfg.withDefaults()
+	return pipe.MapSlice(ctx, cfg.Workers, clusters, func(_ context.Context, cl cluster.Cluster) (fusion.Synthesized, error) {
+		return fusion.SynthesizeOne(cl, cfg.Fusion), nil
+	})
 }
 
 // RunRuntime executes the runtime pipeline over incoming offers using the

@@ -1,11 +1,11 @@
 // Pipeline stages. The runtime pipeline's per-offer front half and
-// per-cluster fusion are each one pipe.ParMap, so the one-shot entry
-// points (RunRuntime, and PrepareIncoming / FuseClusters which it
-// composes) and the streaming pipeline (internal/stream) execute the
-// exact same stage bodies — the one-shot path runs one wave, the stream
-// runs waves through the same stages continuously. The offline phase
-// (RunOffline) runs the same front half without reconciliation, so
-// pipe.ParMap is the package's one worker pool.
+// per-cluster fusion are each one pipe.MapSlice over a slice the caller
+// holds, so the one-shot entry points (RunRuntime, and PrepareIncoming /
+// FuseClusters which it composes) and the streaming pipeline
+// (internal/stream) execute the exact same stage bodies — the one-shot
+// path runs one wave, the stream runs each wave through the same stages.
+// The offline phase (RunOffline) runs the same front half without
+// reconciliation, so pipe's pool is the package's one worker pool.
 //
 // Stage map (runtime phase, Figure 4 right half):
 //
@@ -23,11 +23,9 @@ import (
 
 	"prodsynth/internal/catalog"
 	"prodsynth/internal/categorize"
-	"prodsynth/internal/cluster"
 	"prodsynth/internal/correspond"
 	"prodsynth/internal/extract"
 	"prodsynth/internal/fetch"
-	"prodsynth/internal/fusion"
 	"prodsynth/internal/match"
 	"prodsynth/internal/offer"
 	"prodsynth/internal/pipe"
@@ -43,9 +41,9 @@ type offerOut struct {
 	stats   reconcile.Stats
 }
 
-// frontHalf runs the per-offer front half over offers on one pipe.ParMap
-// of cfg.Workers goroutines, results in input order, so output is
-// identical for every worker count. Each offer is:
+// frontHalf runs the per-offer front half over offers on one
+// pipe.MapSlice of cfg.Workers goroutines, results in input order, so
+// output is identical for every worker count. Each offer is:
 //
 //  1. classified, when it has no CategoryID and classifier (possibly nil)
 //     has a non-empty class for the title;
@@ -66,7 +64,7 @@ type offerOut struct {
 // checked before the call and allowed to finish once started.
 func frontHalf(ctx context.Context, store *catalog.Store, classifier *categorize.Classifier, correspondences *correspond.Set, offers []offer.Offer, pages PageFetcher, cfg Config, tally *fetchTally) ([]offerOut, error) {
 	matcher := cfg.Matcher.Bind(store)
-	stage := pipe.ParMap(cfg.Workers, func(ctx context.Context, o offer.Offer) (offerOut, error) {
+	return pipe.MapSlice(ctx, cfg.Workers, offers, func(ctx context.Context, o offer.Offer) (offerOut, error) {
 		if classifier != nil && o.CategoryID == "" {
 			if cat, _ := classifier.Classify(o.Title); cat != "" {
 				o.CategoryID = cat
@@ -92,7 +90,6 @@ func frontHalf(ctx context.Context, store *catalog.Store, classifier *categorize
 		}
 		return out, nil
 	})
-	return pipe.Collect(ctx, stage(pipe.FromSlice(offers)))
 }
 
 // mergeExtracted appends the extracted pairs whose names the feed spec
@@ -128,16 +125,4 @@ func firstMatches(outs []offerOut) map[categoryOffer]match.Match {
 		}
 	}
 	return first
-}
-
-// FuseStage is the value fusion stage: one cluster in, one synthesized
-// product out. Fusion fans out across cfg.Workers goroutines with results
-// in cluster order; fusion is a pure function of each cluster's member
-// offers, so re-fusing an extended cluster yields exactly what fusing it
-// whole would have (the streaming pipeline's contract).
-func FuseStage(cfg Config) pipe.Stage[cluster.Cluster, fusion.Synthesized] {
-	cfg = cfg.withDefaults()
-	return pipe.ParMap(cfg.Workers, func(_ context.Context, cl cluster.Cluster) (fusion.Synthesized, error) {
-		return fusion.SynthesizeOne(cl, cfg.Fusion), nil
-	})
 }

@@ -5,13 +5,12 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"prodsynth/internal/catalog"
 	"prodsynth/internal/distsim"
 	"prodsynth/internal/match"
 	"prodsynth/internal/offer"
+	"prodsynth/internal/pipe"
 	"prodsynth/internal/text"
 )
 
@@ -285,7 +284,7 @@ func ComputeFeatures(store *catalog.Store, offers *offer.Set, matches *match.Mat
 	cOf, cReps := factorize(ft.candidates, func(k offer.SchemaKey) string { return k.CategoryID })
 	mOf, mReps := factorize(ft.candidates, func(k offer.SchemaKey) string { return k.Merchant })
 	shared := make([]simPair, len(cReps)+len(mReps))
-	fanOut(len(shared), opts.Workers, func(lo, hi int) {
+	pipe.For(len(shared), opts.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			if i < len(cReps) {
 				c := ft.candidates[cReps[i]]
@@ -299,7 +298,7 @@ func ComputeFeatures(store *catalog.Store, offers *offer.Set, matches *match.Mat
 	cSims, mSims := shared[:len(cReps)], shared[len(cReps):]
 	width := len(names)
 	ft.features = make([]float64, len(ft.candidates)*width)
-	fanOut(len(ft.candidates), opts.Workers, func(lo, hi int) {
+	pipe.For(len(ft.candidates), opts.Workers, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c := ft.candidates[i]
 			v := ft.features[i*width : (i+1)*width]
@@ -335,28 +334,6 @@ func factorize(cands []Candidate, group func(offer.SchemaKey) string) (of []int3
 		of[i] = id
 	}
 	return of, reps
-}
-
-// fanOut runs fn over [0, n) in small chunks handed out to workers
-// goroutines, and returns when every chunk is done.
-func fanOut(n, workers int, fn func(lo, hi int)) {
-	const grain = 256
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				lo := int(next.Add(grain)) - grain
-				if lo >= n {
-					return
-				}
-				fn(lo, min(lo+grain, n))
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 // groupDists holds one group's value distribution per attribute name. An

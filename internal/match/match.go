@@ -19,6 +19,7 @@ import (
 
 	"prodsynth/internal/catalog"
 	"prodsynth/internal/offer"
+	"prodsynth/internal/pipe"
 )
 
 // Match associates one offer with one catalog product.
@@ -129,25 +130,11 @@ func (m Matcher) Run(store *catalog.Store, offers *offer.Set) *MatchSet {
 	found := make([]bool, len(all))
 	b := m.Bind(store)
 
-	var wg sync.WaitGroup
-	chunk := (len(all) + workers - 1) / workers
-	if chunk == 0 {
-		chunk = 1
-	}
-	for start := 0; start < len(all); start += chunk {
-		end := start + chunk
-		if end > len(all) {
-			end = len(all)
+	pipe.For(len(all), workers, func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			results[i], found[i] = b.Match(all[i])
 		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				results[i], found[i] = b.Match(all[i])
-			}
-		}(start, end)
-	}
-	wg.Wait()
+	})
 
 	kept := make([]Match, 0, len(all))
 	for i := range results {

@@ -1,16 +1,19 @@
 // Package pipe provides the pull-based iterator stages the runtime
-// pipeline is composed from. A Source is a lazy, context-aware iterator;
-// a Stage wraps an upstream Source into a downstream one. Stages do no
-// work until pulled, so a composed pipeline materializes nothing beyond
-// each stage's own bounded scratch — memory is governed by stage-buffer
-// depth and worker count, not by input size.
+// pipeline is composed from, and the one worker pool its data-parallel
+// work runs on. A Source is a lazy, context-aware iterator; a Stage wraps
+// an upstream Source into a downstream one. Stages do no work until
+// pulled, so a composed pipeline materializes nothing beyond each stage's
+// own bounded scratch.
 //
 // Three execution shapes cover the pipeline's needs:
 //
+//   - For and MapSlice: the worker pool. For runs a function over
+//     [0, n) on a fixed set of goroutines that claim contiguous runs;
+//     MapSlice is the ordered, context-aware map over a slice built on
+//     it, so output is byte-identical for every worker count. Every
+//     data-parallel caller already holds its input as a slice, so the
+//     pool takes slices, not sources. ParMap adapts MapSlice to a Stage.
 //   - Map: serial per-item transformation, zero goroutines, laziness only.
-//   - ParMap: ordered parallel transformation — a bounded worker pool
-//     pulls items, and results are delivered strictly in input order, so
-//     output is byte-identical for every worker count.
 //   - Buffer: a stage boundary — the upstream runs in its own goroutine
 //     feeding a bounded channel, so downstream work overlaps upstream
 //     work (wave pipelining). Depth 0 is an unbuffered handoff: the
@@ -22,14 +25,16 @@
 // a stage's goroutines watch; callers must use a single context for one
 // pipeline's lifetime (the pipeline packages do). A pipeline abandoned
 // mid-stream without cancellation may strand stage goroutines — always
-// either drain a pipeline or cancel its context. When a ParMap item
-// returns an error the stage shuts itself down (later items are never
-// delivered), so an erroring pipeline needs no explicit teardown either.
+// either drain a pipeline or cancel its context. For joins every
+// goroutine it starts before it returns, and so does MapSlice, except
+// that a cancelled context returns at once and leaves fns that ignore it
+// to finish in the background.
 package pipe
 
 import (
 	"context"
 	"sync"
+	"sync/atomic"
 )
 
 // Source is a pull-based iterator. Next returns the next element with
@@ -130,165 +135,162 @@ func (s *mapSource[In, Out]) Next(ctx context.Context) (Out, bool, error) {
 	return out, true, nil
 }
 
-// parItem is one in-flight ParMap computation: the result channel the
-// worker will fulfill, queued in input order.
-type parItem[Out any] struct {
-	res chan parResult[Out]
-}
-
-type parResult[Out any] struct {
-	out Out
-	err error
-}
-
-// parMapSource is the ordered parallel stage described on ParMap.
-type parMapSource[In, Out any] struct {
-	src     Source[In]
-	fn      func(context.Context, In) (Out, error)
-	workers int
-
-	start sync.Once
-	stop  chan struct{} // closed on first delivered error: tears the stage down
-	once  sync.Once
-	order chan parItem[Out] // pending results, input order; cap bounds in-flight items
-	done  bool
-}
-
-// ParMap returns the ordered parallel transformation stage: up to workers
-// goroutines apply fn concurrently, and results are delivered strictly in
-// input order — output is byte-identical for every worker count. At most
-// 2×workers items are in flight (being computed or waiting, computed, for
-// an earlier item), so scratch is bounded by the worker count, not the
-// input length. workers < 1 is treated as 1.
-//
-// The stage's goroutines start lazily on the first pull and exit when the
-// upstream is exhausted and drained, the context is cancelled, or any fn
-// call returns an error (the error is delivered at its item's position
-// and ends the stage: later items are never delivered).
-//
-// fn receives a stage-scoped context derived from the pull context: it is
-// cancelled when the stage tears down — on a delivered error or outer
-// cancellation — so in-flight sibling computations whose results can no
-// longer be delivered (a fetch mid-retry, a blocking call) observe the
-// teardown and abort promptly instead of running to completion unseen.
-func ParMap[In, Out any](workers int, fn func(context.Context, In) (Out, error)) Stage[In, Out] {
-	if workers < 1 {
-		workers = 1
-	}
-	return func(src Source[In]) Source[Out] {
-		return &parMapSource[In, Out]{src: src, fn: fn, workers: workers}
-	}
-}
-
-func (s *parMapSource[In, Out]) shutdown() { s.once.Do(func() { close(s.stop) }) }
-
-// run is the dispatcher: it pulls the upstream serially and hands each
-// item to the worker pool, queueing the item's result slot in input
-// order. The order channel's capacity is the in-flight bound.
-func (s *parMapSource[In, Out]) run(ctx context.Context) {
-	type job struct {
-		in  In
-		res chan parResult[Out]
-	}
-	// The stage-scoped context handed to fn: cancelled on teardown (first
-	// delivered error or outer cancellation), so in-flight siblings whose
-	// results will never be read abort promptly. Workers are joined before
-	// the final cancel, so a successful drain never cancels a live fn.
-	sctx, cancel := context.WithCancel(ctx)
-	go func() {
-		select {
-		case <-s.stop:
-		case <-sctx.Done():
+// For runs fn over [0, n) on up to workers goroutines, the caller's
+// among them, and returns once every index is done. Each goroutine claims
+// contiguous runs [lo, hi) in ascending order until none remain. The run
+// length follows from n and workers: small enough that a short input
+// still spreads over every worker, at most 256 so a long one is not cut
+// into more hand-offs than it needs. workers < 1 is treated as 1.
+func For(n, workers int, fn func(lo, hi int)) {
+	workers = max(workers, 1)
+	run := min(max(n/(workers*16), 1), 256)
+	var next atomic.Int64
+	claim := func() {
+		for {
+			lo := int(next.Add(int64(run))) - run
+			if lo >= n {
+				return
+			}
+			fn(lo, min(lo+run, n))
 		}
-		cancel()
-	}()
-	jobs := make(chan job)
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < s.workers; w++ {
+	for w := 1; w < min(workers, (n+run-1)/run); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for j := range jobs {
-				out, err := s.fn(sctx, j.in)
-				j.res <- parResult[Out]{out: out, err: err} // cap 1: never blocks
-			}
+			claim()
 		}()
 	}
-	go func() {
-		defer func() {
-			close(jobs)
-			wg.Wait()
-			cancel()
-			close(s.order)
-		}()
-		for {
-			in, ok, err := s.src.Next(sctx)
-			if err != nil {
-				res := make(chan parResult[Out], 1)
-				res <- parResult[Out]{err: err}
-				select {
-				case s.order <- parItem[Out]{res: res}:
-				case <-ctx.Done():
-				case <-s.stop:
-				}
-				return
-			}
-			if !ok {
-				return
-			}
-			res := make(chan parResult[Out], 1)
-			select {
-			case s.order <- parItem[Out]{res: res}:
-			case <-ctx.Done():
-				return
-			case <-s.stop:
-				return
-			}
-			select {
-			case jobs <- job{in: in, res: res}:
-			case <-ctx.Done():
-				return
-			case <-s.stop:
-				return
-			}
-		}
-	}()
+	claim()
+	wg.Wait()
 }
 
-func (s *parMapSource[In, Out]) Next(ctx context.Context) (Out, bool, error) {
-	var zero Out
-	if s.done {
-		return zero, false, nil
+// MapSlice applies fn to every item on For's workers and returns the
+// results in input order, so output is identical for every worker count.
+//
+// When fn fails, the error returned is the one at the lowest failing
+// index, and the results returned are those of the indexes below it.
+// Every index below the failing one still runs, so which error wins does
+// not depend on scheduling; indexes above it are skipped. The context fn
+// receives is cancelled once every index below the failing one has
+// finished: siblings above it that are still running (a fetch mid-retry,
+// a blocking call) abort promptly, and no item below it ever sees a
+// cancellation the error caused. MapSlice returns once every goroutine it
+// started has exited.
+//
+// A cancelled ctx returns ctx.Err() and no results at once: no further
+// item starts, and an fn already running that ignores its context (a
+// plain fetch cannot be interrupted) finishes in the background.
+func MapSlice[In, Out any](ctx context.Context, workers int, items []In, fn func(context.Context, In) (Out, error)) ([]Out, error) {
+	if len(items) == 0 {
+		return nil, ctx.Err()
 	}
-	s.start.Do(func() {
-		s.stop = make(chan struct{})
-		s.order = make(chan parItem[Out], s.workers)
-		s.run(ctx)
-	})
-	select {
-	case <-ctx.Done():
-		s.done = true
-		s.shutdown()
-		return zero, false, ctx.Err()
-	case item, ok := <-s.order:
-		if !ok {
-			s.done = true
-			return zero, false, nil
-		}
-		select {
-		case <-ctx.Done():
-			s.done = true
-			s.shutdown()
-			return zero, false, ctx.Err()
-		case r := <-item.res:
-			if r.err != nil {
-				s.done = true
-				s.shutdown()
-				return zero, false, r.err
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	done := sctx.Done()
+	out := make([]Out, len(items))
+	var stop atomic.Int64 // the lowest failing index so far; len(items) while none has failed
+	stop.Store(int64(len(items)))
+	var (
+		mu       sync.Mutex
+		failErr  error
+		frontier int             // every index below it has finished
+		ended    = map[int]int{} // finished runs past the frontier, lo → end
+	)
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		For(len(items), workers, func(lo, hi int) {
+			var err error
+			end := lo
+		loop:
+			for ; end < hi && int64(end) < stop.Load(); end++ {
+				select {
+				case <-done:
+					break loop
+				default:
+				}
+				if out[end], err = fn(sctx, items[end]); err != nil {
+					break
+				}
 			}
-			return r.out, true, nil
-		}
+			mu.Lock()
+			defer mu.Unlock()
+			if err != nil && int64(end) < stop.Load() {
+				stop.Store(int64(end))
+				failErr = err
+			}
+			if end > lo {
+				ended[lo] = end
+			}
+			for e, ok := ended[frontier]; ok; e, ok = ended[frontier] {
+				delete(ended, frontier)
+				frontier = e
+			}
+			if int64(frontier) >= stop.Load() {
+				cancel()
+			}
+		})
+	}()
+	select {
+	case <-finished:
+	case <-ctx.Done():
 	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if failErr != nil {
+		return out[:stop.Load()], failErr
+	}
+	return out, nil
+}
+
+// ParMap returns MapSlice as a stage, for callers written against
+// sources. The first pull drains the upstream and maps it; later pulls
+// replay the results in input order, then the first error (fn's, else
+// the upstream's) at its position. workers < 1 is treated as 1.
+func ParMap[In, Out any](workers int, fn func(context.Context, In) (Out, error)) Stage[In, Out] {
+	return func(src Source[In]) Source[Out] {
+		return &replay[Out]{fill: func(ctx context.Context) ([]Out, error) {
+			var items []In
+			for {
+				in, ok, err := src.Next(ctx)
+				if !ok {
+					out, merr := MapSlice(ctx, workers, items, fn)
+					if merr != nil {
+						return out, merr
+					}
+					return out, err
+				}
+				items = append(items, in)
+			}
+		}}
+	}
+}
+
+// replay is ParMap's source: fill runs on the first pull, then its items
+// are yielded in order and its error last.
+type replay[T any] struct {
+	fill  func(context.Context) ([]T, error)
+	items []T
+	err   error
+}
+
+func (r *replay[T]) Next(ctx context.Context) (T, bool, error) {
+	if r.fill != nil {
+		r.items, r.err = r.fill(ctx)
+		r.fill = nil
+	}
+	var zero T
+	if len(r.items) == 0 {
+		err := r.err
+		r.err = nil
+		return zero, false, err
+	}
+	item := r.items[0]
+	r.items = r.items[1:]
+	return item, true, nil
 }
 
 // bufItem carries one element or the upstream's terminal error across the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -176,6 +177,186 @@ func TestParMapCancelNoLeak(t *testing.T) {
 		}
 	}
 	waitGoroutines(t, baseline)
+}
+
+// TestPoolVisitsEachIndexOnce: For covers [0, n) exactly once, in runs
+// that tile it, for short and long inputs and every worker count.
+func TestPoolVisitsEachIndexOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 4, 16} {
+		for _, n := range []int{0, 1, workers - 1, workers, 10000} {
+			visits := make([]atomic.Int32, n)
+			For(n, workers, func(lo, hi int) {
+				if lo < 0 || lo >= hi || hi > n {
+					t.Errorf("workers=%d n=%d: bad run [%d, %d)", workers, n, lo, hi)
+					return
+				}
+				for i := lo; i < hi; i++ {
+					visits[i].Add(1)
+				}
+			})
+			for i := range visits {
+				if c := visits[i].Load(); c != 1 {
+					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, c)
+				}
+			}
+			got, err := MapSlice(context.Background(), workers, ints(n), func(_ context.Context, i int) (int, error) {
+				return i * 3, nil
+			})
+			if err != nil || len(got) != n {
+				t.Fatalf("workers=%d n=%d: MapSlice len=%d err=%v", workers, n, len(got), err)
+			}
+			for i, v := range got {
+				if v != i*3 {
+					t.Fatalf("workers=%d n=%d: got[%d]=%d", workers, n, i, v)
+				}
+			}
+		}
+	}
+}
+
+// TestPoolLowestError: with several failing items finishing in random
+// order, the error is always the lowest failing index's, and the results
+// returned are exactly those below it.
+func TestPoolLowestError(t *testing.T) {
+	const n = 32 // short runs, so neighbouring items race on different workers
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		failing := map[int]bool{}
+		for len(failing) < 3 {
+			failing[rng.Intn(n)] = true
+		}
+		lowest := n
+		for i := range failing {
+			lowest = min(lowest, i)
+		}
+		sleeps := make([]time.Duration, n)
+		for i := range sleeps {
+			sleeps[i] = time.Duration(rng.Intn(1000)) * time.Microsecond
+		}
+		got, err := MapSlice(context.Background(), 4, ints(n), func(_ context.Context, i int) (int, error) {
+			time.Sleep(sleeps[i])
+			if failing[i] {
+				return 0, fmt.Errorf("item %d", i)
+			}
+			return i, nil
+		})
+		if want := fmt.Sprintf("item %d", lowest); err == nil || err.Error() != want {
+			t.Fatalf("trial %d: err = %v, want %s", trial, err, want)
+		}
+		if len(got) != lowest {
+			t.Fatalf("trial %d: %d results before the error at %d", trial, len(got), lowest)
+		}
+		for i, v := range got {
+			if v != i {
+				t.Fatalf("trial %d: got[%d]=%d", trial, i, v)
+			}
+		}
+	}
+}
+
+// TestPoolCancelsAbove: after the error at index 1, items above it that
+// block until their context is cancelled return, so the call does.
+func TestPoolCancelsAbove(t *testing.T) {
+	boom := errors.New("boom")
+	aboveRunning := make(chan struct{})
+	returned := make(chan error, 1)
+	go func() {
+		_, err := MapSlice(context.Background(), 4, ints(8), func(ctx context.Context, i int) (int, error) {
+			switch {
+			case i == 1:
+				<-aboveRunning
+				return 0, boom
+			case i == 2:
+				close(aboveRunning)
+				<-ctx.Done()
+			case i > 2:
+				<-ctx.Done()
+			}
+			return i, nil
+		})
+		returned <- err
+	}()
+	select {
+	case err := <-returned:
+		if !errors.Is(err, boom) {
+			t.Errorf("err = %v, want boom", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("items above the failing one were never cancelled")
+	}
+}
+
+// TestPoolSparesBelow: an item below the failing one, still running when
+// the error arrives, keeps a live context until it returns.
+func TestPoolSparesBelow(t *testing.T) {
+	boom := errors.New("boom")
+	failed := make(chan struct{})
+	var belowErr error // written by item 0, read after MapSlice joined it
+	_, err := MapSlice(context.Background(), 4, ints(8), func(ctx context.Context, i int) (int, error) {
+		switch {
+		case i == 0:
+			<-failed
+			time.Sleep(20 * time.Millisecond) // give a wrong loop time to cancel
+			belowErr = ctx.Err()
+		case i == 1:
+			close(failed)
+			return 0, boom
+		default:
+			<-ctx.Done()
+		}
+		return i, nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v, want boom", err)
+	}
+	if belowErr != nil {
+		t.Fatalf("item 0 saw ctx.Err() = %v, want nil", belowErr)
+	}
+}
+
+// TestPoolOuterCancelNoLeak: cancelling the caller's context returns
+// context.Canceled at once, even while items that ignore their context
+// are still running; no further item starts, and no goroutine is left
+// once those items return.
+func TestPoolOuterCancelNoLeak(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	release := make(chan struct{})
+	var started, ran atomic.Int64
+	go func() {
+		for started.Load() < 4 {
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+	}()
+	type result struct {
+		got []int
+		err error
+	}
+	returned := make(chan result, 1)
+	go func() {
+		got, err := MapSlice(ctx, 4, ints(1000), func(_ context.Context, i int) (int, error) {
+			ran.Add(1)
+			if started.Add(1) <= 4 {
+				<-release
+			}
+			return i, nil
+		})
+		returned <- result{got, err}
+	}()
+	select {
+	case r := <-returned:
+		if !errors.Is(r.err, context.Canceled) || r.got != nil {
+			t.Errorf("got %d results, err = %v; want none and context.Canceled", len(r.got), r.err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("MapSlice waited for items that ignore their context")
+	}
+	close(release)
+	waitGoroutines(t, baseline)
+	if n := ran.Load(); n > 4 {
+		t.Fatalf("%d items ran after cancellation", n-4)
+	}
 }
 
 // TestBufferOverlap proves the stage boundary actually decouples producer
