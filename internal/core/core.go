@@ -119,8 +119,6 @@ type Config struct {
 	Matcher match.Matcher
 	// Features configures distributional feature computation.
 	Features correspond.FeatureOptions
-	// Train configures classifier training.
-	Train correspond.TrainOptions
 	// ScoreThreshold is the classifier probability above which a
 	// candidate becomes a correspondence (default 0.5).
 	ScoreThreshold float64
@@ -331,7 +329,7 @@ func RunOffline(ctx context.Context, store *catalog.Store, historical []offer.Of
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	model, err := correspond.Train(ft, cfg.Train)
+	model, err := correspond.Train(ft, correspond.TrainOptions{})
 	if err != nil {
 		return nil, fmt.Errorf("core: offline training: %w", err)
 	}

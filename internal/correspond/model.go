@@ -17,25 +17,18 @@ type Model struct {
 	TrainingPositives int
 }
 
-// TrainOptions configures classifier training.
-type TrainOptions struct {
-	// Logistic overrides the SGD configuration; zero value uses defaults
-	// with class weighting on (the auto-labeled set is imbalanced).
-	Logistic ml.LogisticConfig
-}
+// TrainOptions is empty: the classifier's fit has no settings. It stays
+// only because cmd/bench, the frozen benchmark harness, passes TrainOptions{}.
+type TrainOptions struct{}
 
 // Train builds the training set from the feature table and fits the
-// logistic regression classifier.
-func Train(ft *FeatureTable, opts TrainOptions) (*Model, error) {
+// class-weighted logistic regression classifier (ml.TrainLogistic).
+func Train(ft *FeatureTable, _ TrainOptions) (*Model, error) {
 	ts := BuildTrainingSet(ft)
 	if len(ts.Examples) == 0 {
 		return nil, fmt.Errorf("correspond: no name-identity candidates to train on: %w", ml.ErrNoTrainingData)
 	}
-	cfg := opts.Logistic
-	if !cfg.ClassWeighting {
-		cfg.ClassWeighting = true
-	}
-	lr, err := ml.TrainLogistic(ts.Examples, cfg)
+	lr, err := ml.TrainLogistic(ts.Examples)
 	if err != nil {
 		return nil, fmt.Errorf("correspond: training classifier: %w", err)
 	}

@@ -45,28 +45,32 @@ func TestPaperNumbersPinned(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("score bits are pinned on amd64; other architectures may fuse multiply-adds")
 	}
+	// Re-recorded when the classifier's SGD fit became a Newton/IRLS solve
+	// (a deliberate behaviour change): the classifier's coverage, the
+	// drop-one rows and seed 2's Table 2 and Table 4 moved; the JS-MC and
+	// Jaccard-MC baselines, which do not train, did not.
 	want := map[int64]paperNumbers{
 		1: {
 			Products:       112,
 			AttributePairs: 805,
-			PredictedValid: 838,
+			PredictedValid: 835,
 			AttributePrec:  0.9850931677018634,
 			ProductPrec:    0.9107142857142857,
 			Heavy:          recallPin{Products: 3, Recall: 1, Precision: 1, AvgPool: 97.33333333333333, AvgSynthed: 10.333333333333334},
 			Light:          recallPin{Products: 109, Recall: 0.9542079207920792, Precision: 0.9844961240310077, AvgPool: 22.155963302752294, AvgSynthed: 7.10091743119266},
-			Fig6:           [3][2]int{{485, 568}, {477, 550}, {484, 550}},
-			DropOne:        [7][2]int{{485, 568}, {485, 567}, {483, 578}, {484, 567}, {484, 567}, {481, 568}, {484, 567}},
+			Fig6:           [3][2]int{{480, 567}, {477, 550}, {484, 550}},
+			DropOne:        [7][2]int{{480, 567}, {482, 566}, {483, 575}, {483, 567}, {483, 567}, {478, 567}, {480, 567}},
 		},
 		2: {
-			Products:       107,
-			AttributePairs: 761,
-			PredictedValid: 879,
-			AttributePrec:  0.9868593955321945,
-			ProductPrec:    0.9065420560747663,
+			Products:       108,
+			AttributePairs: 766,
+			PredictedValid: 856,
+			AttributePrec:  0.9856396866840731,
+			ProductPrec:    0.8981481481481481,
 			Heavy:          recallPin{Products: 6, Recall: 1, Precision: 1, AvgPool: 61.833333333333336, AvgSynthed: 7},
-			Light:          recallPin{Products: 101, Recall: 0.9848901098901099, Precision: 0.9860917941585535, AvgPool: 22.544554455445546, AvgSynthed: 7.118811881188119},
-			Fig6:           [3][2]int{{581, 671}, {553, 638}, {561, 638}},
-			DropOne:        [7][2]int{{581, 671}, {580, 670}, {581, 670}, {580, 667}, {578, 670}, {581, 671}, {580, 670}},
+			Light:          recallPin{Products: 102, Recall: 0.9809782608695652, Precision: 0.9848066298342542, AvgPool: 22.04901960784314, AvgSynthed: 7.098039215686274},
+			Fig6:           [3][2]int{{576, 666}, {553, 638}, {561, 638}},
+			DropOne:        [7][2]int{{576, 666}, {577, 667}, {568, 665}, {576, 666}, {576, 668}, {576, 670}, {576, 667}},
 		},
 	}
 	for _, seed := range []int64{1, 2} {

@@ -5,15 +5,17 @@
 // usual evaluation metrics.
 //
 // Everything is implemented on dense []float64 feature vectors with no
-// external dependencies. Training is deterministic given the same inputs.
+// external dependencies. Logistic regression is fitted by maximum
+// likelihood, as Hosmer & Lemeshow do: weighted Newton/IRLS over the
+// distinct training rows, so the fit is a pure function of the multiset of
+// examples, independent of their order.
 package ml
 
 import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
-	"sync"
+	"slices"
 )
 
 // Example is one labeled training instance.
@@ -21,38 +23,6 @@ type Example struct {
 	Features []float64
 	// Label is 1 for positive, 0 for negative.
 	Label int
-}
-
-// LogisticConfig controls training of the logistic regression model.
-type LogisticConfig struct {
-	// Epochs is the number of passes over the training set (default 200).
-	Epochs int
-	// LearningRate is the SGD step size (default 0.1).
-	LearningRate float64
-	// L2 is the L2 regularization strength (default 0: no regularization,
-	// which is what the shipped classifier trains with).
-	L2 float64
-	// Seed seeds the shuffling of examples between epochs.
-	Seed int64
-	// ClassWeighting, when true, up-weights the minority class so that
-	// both classes contribute equal total gradient mass. The automatically
-	// constructed training set of §3.2 is imbalanced (16,213 positives of
-	// 76,635 examples in the paper), so this defaults to on in the
-	// pipeline configuration.
-	ClassWeighting bool
-}
-
-func (c LogisticConfig) withDefaults() LogisticConfig {
-	if c.Epochs <= 0 {
-		c.Epochs = 200
-	}
-	if c.LearningRate <= 0 {
-		c.LearningRate = 0.1
-	}
-	if c.L2 < 0 {
-		c.L2 = 0
-	}
-	return c
 }
 
 // Logistic is a trained binary logistic regression model.
@@ -67,9 +37,30 @@ type Logistic struct {
 // single-class.
 var ErrNoTrainingData = errors.New("ml: training set empty or single-class")
 
-// TrainLogistic fits a logistic regression model with SGD.
-func TrainLogistic(examples []Example, cfg LogisticConfig) (*Logistic, error) {
-	cfg = cfg.withDefaults()
+// The Newton solve's fixed constants. The ridge keeps every Hessian
+// positive definite, so separable or collinear training sets converge to
+// finite weights instead of diverging.
+const (
+	ridge     = 1e-6 // added to every coordinate, the bias included
+	tolerance = 1e-9 // converged once no coordinate moves by this much
+	maxIters  = 100  // a fit still moving after this many steps is an error
+)
+
+// TrainLogistic fits a class-weighted logistic regression by maximum
+// likelihood. Each class has weight N / (2·N_c), so both classes carry
+// equal total mass (the auto-labeled set of §3.2 is imbalanced: 16,213
+// positives of 76,635 examples in the paper).
+//
+// The examples are first grouped into their distinct (features, label)
+// rows, each weighted by its count times its class weight, and sorted by
+// the bits of their features, then their label. Newton/IRLS then minimises
+// the weighted negative log-likelihood plus (1e-6 / 2)·‖β‖² over the
+// weights and bias β, solving each step's normal equations by Cholesky. It
+// stops once no coordinate of the step exceeds 1e-9 in magnitude, and
+// returns an error, never a partial model, if that takes more than 100
+// steps. Every sum runs over the sorted rows, so the weights' bits depend
+// only on the multiset of examples, not on their order.
+func TrainLogistic(examples []Example) (*Logistic, error) {
 	if len(examples) == 0 {
 		return nil, ErrNoTrainingData
 	}
@@ -88,80 +79,168 @@ func TrainLogistic(examples []Example, cfg LogisticConfig) (*Logistic, error) {
 	if pos == 0 || neg == 0 {
 		return nil, fmt.Errorf("%w: %d positive, %d negative", ErrNoTrainingData, pos, neg)
 	}
-
-	wPos, wNeg := 1.0, 1.0
-	if cfg.ClassWeighting {
-		// Equalize total class mass: weight_c = N / (2 * N_c).
-		n := float64(len(examples))
-		wPos = n / (2 * float64(pos))
-		wNeg = n / (2 * float64(neg))
+	n := float64(len(examples))
+	rows := groupRows(examples, dim, [2]float64{n / (2 * float64(neg)), n / (2 * float64(pos))})
+	beta, err := newton(rows, dim)
+	if err != nil {
+		return nil, err
 	}
+	return &Logistic{Weights: beta[:dim:dim], Bias: beta[dim]}, nil
+}
 
-	// One row-major slab, a row per example: its features, then its label,
-	// then its class weight.
-	stride := dim + 2
-	slab := make([]float64, len(examples)*stride)
-	for i, ex := range examples {
-		row := slab[i*stride : (i+1)*stride]
-		copy(row, ex.Features)
-		row[dim] = float64(ex.Label)
-		row[dim+1] = wNeg
+// rows is the grouped training set: row r has features x[r*dim:(r+1)*dim],
+// label y[r] (0 or 1) and weight w[r].
+type rows struct {
+	x, y, w []float64
+}
+
+// groupRows counts the distinct (features, label) rows and returns them in
+// canonical order, each weighted by its count times classWeight[label]. A
+// row's key is its features' bits, big-endian, then its label byte, so
+// sorting the keys as strings sorts the rows lexicographically by the bits
+// of each feature, then by label.
+func groupRows(examples []Example, dim int, classWeight [2]float64) rows {
+	counts := make(map[string]int)
+	key := make([]byte, 8*dim+1)
+	for _, ex := range examples {
+		for j, v := range ex.Features {
+			putBits(key[8*j:], math.Float64bits(v))
+		}
+		key[8*dim] = 0
 		if ex.Label == 1 {
-			row[dim+1] = wPos
+			key[8*dim] = 1
+		}
+		counts[string(key)]++
+	}
+	keys := make([]string, 0, len(counts))
+	for k := range counts {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	out := rows{
+		x: make([]float64, 0, len(keys)*dim),
+		y: make([]float64, len(keys)),
+		w: make([]float64, len(keys)),
+	}
+	for r, k := range keys {
+		for j := 0; j < dim; j++ {
+			out.x = append(out.x, math.Float64frombits(getBits(k[8*j:])))
+		}
+		label := k[8*dim]
+		out.y[r] = float64(label)
+		out.w[r] = float64(counts[k]) * classWeight[label]
+	}
+	return out
+}
+
+func putBits(b []byte, v uint64) {
+	for i := 7; i >= 0; i-- {
+		b[i] = byte(v)
+		v >>= 8
+	}
+}
+
+func getBits(s string) uint64 {
+	var v uint64
+	for i := 0; i < 8; i++ {
+		v = v<<8 | uint64(s[i])
+	}
+	return v
+}
+
+// newton minimises the rows' weighted negative log-likelihood plus the
+// ridge penalty and returns β: the dim weights, then the bias. Each step
+// accumulates the gradient g and the Hessian H (lower triangle) in row
+// order and moves β by -H⁻¹g. The explicit float64 conversions round every
+// product before it is added, so no multiply-add is fused and the bits are
+// the same on every architecture that rounds to IEEE double.
+func newton(rs rows, dim int) ([]float64, error) {
+	d := dim + 1
+	beta := make([]float64, d)
+	g := make([]float64, d)
+	h := make([]float64, d*d)
+	xr := make([]float64, d)
+	xr[dim] = 1
+	for iter := 1; iter <= maxIters; iter++ {
+		clear(g)
+		clear(h)
+		for r, y := range rs.y {
+			copy(xr, rs.x[r*dim:(r+1)*dim])
+			z := 0.0
+			for j, xj := range xr {
+				z += float64(beta[j] * xj)
+			}
+			p := sigmoid(z)
+			gr := float64(rs.w[r] * (p - y))
+			hr := float64(rs.w[r] * float64(p*(1-p)))
+			for j, xj := range xr {
+				g[j] += float64(gr * xj)
+				hj := float64(hr * xj)
+				for k, xk := range xr[:j+1] {
+					h[j*d+k] += float64(hj * xk)
+				}
+			}
+		}
+		for j := range beta {
+			g[j] += float64(ridge * beta[j])
+			h[j*d+j] += ridge
+		}
+		if !cholesky(h, d) {
+			return nil, errors.New("ml: logistic Hessian is not positive definite (non-finite features?)")
+		}
+		cholSolve(h, g, d)
+		step := 0.0
+		for j, dj := range g {
+			beta[j] -= dj
+			step = max(step, math.Abs(dj))
+		}
+		if step < tolerance {
+			return beta, nil
 		}
 	}
+	return nil, fmt.Errorf("ml: logistic fit did not converge in %d Newton steps", maxIters)
+}
 
-	// The epochs' visit orders depend only on the seed, so one helper
-	// goroutine shuffles its own order an epoch ahead of the updates and
-	// hands each epoch's order over in one of two recycled buffers.
-	ready := make(chan []int, 1)
-	free := make(chan []int, 2) // holds both buffers, so returning one never blocks
-	free <- make([]int, len(examples))
-	free <- make([]int, len(examples))
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(cfg.Seed))
-		order := make([]int, len(examples))
-		for i := range order {
-			order[i] = i
-		}
-		for epoch := 0; epoch < cfg.Epochs; epoch++ {
-			rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
-			buf := <-free
-			copy(buf, order)
-			ready <- buf
-		}
-	}()
-
-	// Each step must keep Prob's and the update's floating-point operations
-	// in this order: TestSlabSGDBitIdentical pins the weights bit for bit
-	// to a per-example loop over model.Prob.
-	weights := make([]float64, dim)
-	var bias float64
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		order := <-ready
-		// Decay the step size mildly for stable convergence.
-		lr := cfg.LearningRate / (1 + 0.01*float64(epoch))
-		lrL2 := lr * cfg.L2
-		for _, idx := range order {
-			row := slab[idx*stride : (idx+1)*stride]
-			x := row[:dim]
-			z := bias
-			for j, w := range weights {
-				z += w * x[j]
+// cholesky factors the symmetric matrix whose lower triangle a holds (d×d,
+// row-major) into L·Lᵀ, overwriting that triangle with L. It reports false
+// when a is not positive definite.
+func cholesky(a []float64, d int) bool {
+	for j := 0; j < d; j++ {
+		for i := j; i < d; i++ {
+			s := a[i*d+j]
+			for k := 0; k < j; k++ {
+				s -= float64(a[i*d+k] * a[j*d+k])
 			}
-			g := lr * row[dim+1] * (sigmoid(z) - row[dim])
-			for j, xj := range x {
-				weights[j] -= g*xj + lrL2*weights[j]
+			if i == j {
+				if !(s > 0) {
+					return false
+				}
+				a[j*d+j] = math.Sqrt(s)
+			} else {
+				a[i*d+j] = s / a[j*d+j]
 			}
-			bias -= g
 		}
-		free <- order
 	}
-	wg.Wait()
-	return &Logistic{Weights: weights, Bias: bias}, nil
+	return true
+}
+
+// cholSolve overwrites b with the solution of L·Lᵀ·x = b, for L as
+// cholesky left it in a.
+func cholSolve(a, b []float64, d int) {
+	for i := 0; i < d; i++ {
+		s := b[i]
+		for k := 0; k < i; k++ {
+			s -= float64(a[i*d+k] * b[k])
+		}
+		b[i] = s / a[i*d+i]
+	}
+	for i := d - 1; i >= 0; i-- {
+		s := b[i]
+		for k := i + 1; k < d; k++ {
+			s -= float64(a[k*d+i] * b[k])
+		}
+		b[i] = s / a[i*d+i]
+	}
 }
 
 // Prob returns P(label=1 | features).
