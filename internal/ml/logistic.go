@@ -100,7 +100,11 @@ type rows struct {
 // sorting the keys as strings sorts the rows lexicographically by the bits
 // of each feature, then by label.
 func groupRows(examples []Example, dim int, classWeight [2]float64) rows {
-	counts := make(map[string]int)
+	// Looking a row up by string(key) does not allocate; only the first
+	// sighting of each distinct row stores its key.
+	index := make(map[string]int)
+	var keys []string
+	var counts []int
 	key := make([]byte, 8*dim+1)
 	for _, ex := range examples {
 		for j, v := range ex.Features {
@@ -110,11 +114,14 @@ func groupRows(examples []Example, dim int, classWeight [2]float64) rows {
 		if ex.Label == 1 {
 			key[8*dim] = 1
 		}
-		counts[string(key)]++
-	}
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
+		if i, ok := index[string(key)]; ok {
+			counts[i]++
+			continue
+		}
+		k := string(key)
+		index[k] = len(keys)
 		keys = append(keys, k)
+		counts = append(counts, 1)
 	}
 	slices.Sort(keys)
 	out := rows{
@@ -128,7 +135,7 @@ func groupRows(examples []Example, dim int, classWeight [2]float64) rows {
 		}
 		label := k[8*dim]
 		out.y[r] = float64(label)
-		out.w[r] = float64(counts[k]) * classWeight[label]
+		out.w[r] = float64(counts[index[k]]) * classWeight[label]
 	}
 	return out
 }
