@@ -5,17 +5,17 @@
 // usual evaluation metrics.
 //
 // Everything is implemented on dense []float64 feature vectors with no
-// external dependencies. Logistic regression is fitted by maximum
-// likelihood, as Hosmer & Lemeshow do: weighted Newton/IRLS over the
-// distinct training rows, so the fit is a pure function of the multiset of
-// examples, independent of their order.
+// external dependencies. Logistic regression is fitted by weighted
+// Newton/IRLS, Hosmer & Lemeshow's maximum-likelihood method.
 package ml
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 )
 
 // Example is one labeled training instance.
@@ -37,153 +37,89 @@ type Logistic struct {
 // single-class.
 var ErrNoTrainingData = errors.New("ml: training set empty or single-class")
 
-// The Newton solve's fixed constants. The ridge keeps every Hessian
-// positive definite, so separable or collinear training sets converge to
-// finite weights instead of diverging.
-const (
-	ridge     = 1e-6 // added to every coordinate, the bias included
-	tolerance = 1e-9 // converged once no coordinate moves by this much
-	maxIters  = 100  // a fit still moving after this many steps is an error
-)
+// The ridge, added to every coordinate, keeps each Hessian positive
+// definite, so separable or collinear sets get finite weights. A fit has
+// converged once no coordinate moves by tolerance; it fails after maxIters.
+const ridge, tolerance, maxIters = 1e-6, 1e-9, 100
 
-// TrainLogistic fits a class-weighted logistic regression by maximum
-// likelihood. Each class has weight N / (2·N_c), so both classes carry
-// equal total mass (the auto-labeled set of §3.2 is imbalanced: 16,213
-// positives of 76,635 examples in the paper).
-//
-// The examples are first grouped into their distinct (features, label)
-// rows, each weighted by its count times its class weight, and sorted by
-// the bits of their features, then their label. Newton/IRLS then minimises
-// the weighted negative log-likelihood plus (1e-6 / 2)·‖β‖² over the
-// weights and bias β, solving each step's normal equations by Cholesky. It
-// stops once no coordinate of the step exceeds 1e-9 in magnitude, and
-// returns an error, never a partial model, if that takes more than 100
-// steps. Every sum runs over the sorted rows, so the weights' bits depend
-// only on the multiset of examples, not on their order.
+// TrainLogistic fits a logistic regression by maximum likelihood, with
+// class weights N / (2·N_c) so both classes carry equal mass (the
+// auto-labeled set of §3.2 is imbalanced). It groups the examples into
+// distinct (features, label) rows sorted by feature bits then label, and
+// runs Newton/IRLS on them with a 1e-6 ridge, solving each step by
+// Cholesky, until no coordinate moves by 1e-9; after 100 steps it fails.
+// The sums run in sorted order, so the weights depend only on the
+// multiset of examples.
 func TrainLogistic(examples []Example) (*Logistic, error) {
 	if len(examples) == 0 {
 		return nil, ErrNoTrainingData
 	}
 	dim := len(examples[0].Features)
-	pos, neg := 0, 0
+	var perLabel [2]int
+	index := make(map[string]int) // looking up string(key) does not allocate
+	var rows []row
+	var key []byte
 	for _, ex := range examples {
 		if len(ex.Features) != dim {
 			return nil, fmt.Errorf("ml: inconsistent feature dimension: %d vs %d", len(ex.Features), dim)
 		}
+		label := 0
 		if ex.Label == 1 {
-			pos++
-		} else {
-			neg++
+			label = 1
 		}
+		perLabel[label]++
+		key = key[:0]
+		for _, v := range ex.Features {
+			key = binary.BigEndian.AppendUint64(key, math.Float64bits(v))
+		}
+		key = append(key, byte(label))
+		if i, ok := index[string(key)]; ok {
+			rows[i].count++
+			continue
+		}
+		k := string(key)
+		index[k] = len(rows)
+		rows = append(rows, row{key: k, x: append(slices.Clip(ex.Features), 1), label: label, count: 1})
 	}
+	neg, pos, n := perLabel[0], perLabel[1], float64(len(examples))
 	if pos == 0 || neg == 0 {
 		return nil, fmt.Errorf("%w: %d positive, %d negative", ErrNoTrainingData, pos, neg)
 	}
-	n := float64(len(examples))
-	rows := groupRows(examples, dim, [2]float64{n / (2 * float64(neg)), n / (2 * float64(pos))})
-	beta, err := newton(rows, dim)
-	if err != nil {
-		return nil, err
+	slices.SortFunc(rows, func(a, b row) int { return strings.Compare(a.key, b.key) })
+	beta := newton(rows, [2]float64{n / (2 * float64(neg)), n / (2 * float64(pos))})
+	if beta == nil {
+		return nil, fmt.Errorf("ml: logistic fit did not converge in %d Newton steps", maxIters)
 	}
 	return &Logistic{Weights: beta[:dim:dim], Bias: beta[dim]}, nil
 }
 
-// rows is the grouped training set: row r has features x[r*dim:(r+1)*dim],
-// label y[r] (0 or 1) and weight w[r].
-type rows struct {
-	x, y, w []float64
+// row is one distinct (features, label) row of a training set.
+type row struct {
+	key          string    // the features' bits, big-endian, then the label
+	x            []float64 // the features, then a 1 for the bias
+	label, count int
 }
 
-// groupRows counts the distinct (features, label) rows and returns them in
-// canonical order, each weighted by its count times classWeight[label]. A
-// row's key is its features' bits, big-endian, then its label byte, so
-// sorting the keys as strings sorts the rows lexicographically by the bits
-// of each feature, then by label.
-func groupRows(examples []Example, dim int, classWeight [2]float64) rows {
-	// Looking a row up by string(key) does not allocate; only the first
-	// sighting of each distinct row stores its key.
-	index := make(map[string]int)
-	var keys []string
-	var counts []int
-	key := make([]byte, 8*dim+1)
-	for _, ex := range examples {
-		for j, v := range ex.Features {
-			putBits(key[8*j:], math.Float64bits(v))
-		}
-		key[8*dim] = 0
-		if ex.Label == 1 {
-			key[8*dim] = 1
-		}
-		if i, ok := index[string(key)]; ok {
-			counts[i]++
-			continue
-		}
-		k := string(key)
-		index[k] = len(keys)
-		keys = append(keys, k)
-		counts = append(counts, 1)
-	}
-	slices.Sort(keys)
-	out := rows{
-		x: make([]float64, 0, len(keys)*dim),
-		y: make([]float64, len(keys)),
-		w: make([]float64, len(keys)),
-	}
-	for r, k := range keys {
-		for j := 0; j < dim; j++ {
-			out.x = append(out.x, math.Float64frombits(getBits(k[8*j:])))
-		}
-		label := k[8*dim]
-		out.y[r] = float64(label)
-		out.w[r] = float64(counts[index[k]]) * classWeight[label]
-	}
-	return out
-}
-
-func putBits(b []byte, v uint64) {
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
-}
-
-func getBits(s string) uint64 {
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v = v<<8 | uint64(s[i])
-	}
-	return v
-}
-
-// newton minimises the rows' weighted negative log-likelihood plus the
-// ridge penalty and returns β: the dim weights, then the bias. Each step
-// accumulates the gradient g and the Hessian H (lower triangle) in row
-// order and moves β by -H⁻¹g. The explicit float64 conversions round every
-// product before it is added, so no multiply-add is fused and the bits are
-// the same on every architecture that rounds to IEEE double.
-func newton(rs rows, dim int) ([]float64, error) {
-	d := dim + 1
+// newton minimises the rows' negative log-likelihood, each weighted by
+// count × class weight, plus (ridge/2)·‖β‖², and returns β (the weights,
+// then the bias) or nil if it does not converge. Each product is rounded
+// by a float64 conversion, so no multiply-add is fused.
+func newton(rows []row, classWeight [2]float64) []float64 {
+	d := len(rows[0].x)
 	beta := make([]float64, d)
-	g := make([]float64, d)
-	h := make([]float64, d*d)
-	xr := make([]float64, d)
-	xr[dim] = 1
-	for iter := 1; iter <= maxIters; iter++ {
-		clear(g)
-		clear(h)
-		for r, y := range rs.y {
-			copy(xr, rs.x[r*dim:(r+1)*dim])
+	for iter := 0; iter < maxIters; iter++ {
+		g, h := make([]float64, d), make([]float64, d*d) // h: the Hessian's lower triangle
+		for _, r := range rows {
 			z := 0.0
-			for j, xj := range xr {
+			for j, xj := range r.x {
 				z += float64(beta[j] * xj)
 			}
-			p := sigmoid(z)
-			gr := float64(rs.w[r] * (p - y))
-			hr := float64(rs.w[r] * float64(p*(1-p)))
-			for j, xj := range xr {
+			p, w := sigmoid(z), float64(r.count)*classWeight[r.label]
+			gr, hr := float64(w*(p-float64(r.label))), float64(w*float64(p*(1-p)))
+			for j, xj := range r.x {
 				g[j] += float64(gr * xj)
 				hj := float64(hr * xj)
-				for k, xk := range xr[:j+1] {
+				for k, xk := range r.x[:j+1] {
 					h[j*d+k] += float64(hj * xk)
 				}
 			}
@@ -192,61 +128,45 @@ func newton(rs rows, dim int) ([]float64, error) {
 			g[j] += float64(ridge * beta[j])
 			h[j*d+j] += ridge
 		}
-		if !cholesky(h, d) {
-			return nil, errors.New("ml: logistic Hessian is not positive definite (non-finite features?)")
-		}
-		cholSolve(h, g, d)
+		choleskySolve(h, g, d)
 		step := 0.0
 		for j, dj := range g {
 			beta[j] -= dj
 			step = max(step, math.Abs(dj))
 		}
 		if step < tolerance {
-			return beta, nil
+			return beta
 		}
 	}
-	return nil, fmt.Errorf("ml: logistic fit did not converge in %d Newton steps", maxIters)
+	return nil
 }
 
-// cholesky factors the symmetric matrix whose lower triangle a holds (d×d,
-// row-major) into L·Lᵀ, overwriting that triangle with L. It reports false
-// when a is not positive definite.
-func cholesky(a []float64, d int) bool {
-	for j := 0; j < d; j++ {
-		for i := j; i < d; i++ {
+// choleskySolve overwrites b with the solution of A·x = b and a with A's
+// Cholesky factor L, where a holds the lower triangle of the symmetric
+// positive definite d×d matrix A, row-major.
+func choleskySolve(a, b []float64, d int) {
+	for i := 0; i < d; i++ {
+		for j := 0; j <= i; j++ {
 			s := a[i*d+j]
 			for k := 0; k < j; k++ {
 				s -= float64(a[i*d+k] * a[j*d+k])
 			}
-			if i == j {
-				if !(s > 0) {
-					return false
-				}
-				a[j*d+j] = math.Sqrt(s)
-			} else {
+			if j < i {
 				a[i*d+j] = s / a[j*d+j]
+			} else {
+				a[i*d+i] = math.Sqrt(s)
 			}
 		}
-	}
-	return true
-}
-
-// cholSolve overwrites b with the solution of L·Lᵀ·x = b, for L as
-// cholesky left it in a.
-func cholSolve(a, b []float64, d int) {
-	for i := 0; i < d; i++ {
-		s := b[i]
-		for k := 0; k < i; k++ {
-			s -= float64(a[i*d+k] * b[k])
+		for k := 0; k < i; k++ { // forward: L·y = b
+			b[i] -= float64(a[i*d+k] * b[k])
 		}
-		b[i] = s / a[i*d+i]
+		b[i] /= a[i*d+i]
 	}
-	for i := d - 1; i >= 0; i-- {
-		s := b[i]
+	for i := d - 1; i >= 0; i-- { // back: Lᵀ·x = y
 		for k := i + 1; k < d; k++ {
-			s -= float64(a[k*d+i] * b[k])
+			b[i] -= float64(a[k*d+i] * b[k])
 		}
-		b[i] = s / a[i*d+i]
+		b[i] /= a[i*d+i]
 	}
 }
 
@@ -259,14 +179,6 @@ func (m *Logistic) Prob(features []float64) float64 {
 		}
 	}
 	return sigmoid(z)
-}
-
-// Predict returns 1 if Prob >= threshold.
-func (m *Logistic) Predict(features []float64, threshold float64) int {
-	if m.Prob(features) >= threshold {
-		return 1
-	}
-	return 0
 }
 
 func sigmoid(z float64) float64 {
@@ -286,13 +198,13 @@ type Metrics struct {
 func Evaluate(m *Logistic, examples []Example, threshold float64) Metrics {
 	var out Metrics
 	for _, ex := range examples {
-		pred := m.Predict(ex.Features, threshold)
+		pred := m.Prob(ex.Features) >= threshold
 		switch {
-		case pred == 1 && ex.Label == 1:
+		case pred && ex.Label == 1:
 			out.TP++
-		case pred == 1 && ex.Label == 0:
+		case pred && ex.Label == 0:
 			out.FP++
-		case pred == 0 && ex.Label == 0:
+		case !pred && ex.Label == 0:
 			out.TN++
 		default:
 			out.FN++

@@ -1,6 +1,7 @@
 package ml
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -106,6 +107,15 @@ func gridExamples(dim, n, levels int, seed int64) []Example {
 	return exs
 }
 
+// countDistinct counts the distinct (features, label) rows of a set.
+func countDistinct(exs []Example) int {
+	seen := make(map[string]bool)
+	for _, ex := range exs {
+		seen[fmt.Sprint(ex.Features, ex.Label)] = true
+	}
+	return len(seen)
+}
+
 // TestTrainLogisticOrderInvariant: the fit is a function of the multiset of
 // examples. Shuffled copies of a set with repeated rows give the same
 // weight and bias bits, which accumulating the rows in input order would
@@ -142,7 +152,7 @@ func TestTrainLogisticOrderInvariant(t *testing.T) {
 func TestTrainLogisticMatchesUngroupedNewton(t *testing.T) {
 	for _, dim := range []int{1, 6, 7} {
 		exs := gridExamples(dim, 6000, 3, int64(dim))
-		if distinct := len(groupRows(exs, dim, [2]float64{1, 1}).y); distinct*2 > len(exs) {
+		if distinct := countDistinct(exs); distinct*2 > len(exs) {
 			t.Fatalf("dim %d: %d distinct rows of %d; the set must repeat rows", dim, distinct, len(exs))
 		}
 		got, err := TrainLogistic(exs)

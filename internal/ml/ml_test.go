@@ -87,6 +87,15 @@ func TestTrainLogisticErrors(t *testing.T) {
 	if _, err := TrainLogistic(ragged); err == nil {
 		t.Error("ragged features should error")
 	}
+	// A NaN feature never converges: the fit fails at the step cap and
+	// returns no partial model.
+	nan := []Example{
+		{Features: []float64{math.NaN()}, Label: 1},
+		{Features: []float64{0}, Label: 0},
+	}
+	if m, err := TrainLogistic(nan); err == nil || m != nil {
+		t.Errorf("NaN feature: model %v, err %v; want an error and no model", m, err)
+	}
 }
 
 func TestClassWeightingHelpsImbalance(t *testing.T) {
