@@ -9,7 +9,9 @@
 //     offer-to-product matches (§3.1),
 //  3. constructs a training set automatically from name-identity candidates
 //     (§3.2, no manual labels), and
-//  4. trains a logistic regression classifier and scores every candidate.
+//  4. fits a class-weighted logistic regression classifier by maximum
+//     likelihood (ml.TrainLogistic: Newton/IRLS over the distinct training
+//     rows) and scores every candidate.
 //
 // The scored output feeds the Schema Reconciliation component.
 package correspond

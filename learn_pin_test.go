@@ -23,7 +23,7 @@ func TestLearnScoresPinned(t *testing.T) {
 	}
 	// Re-recorded when the classifier's 200-epoch SGD fit became a
 	// Newton/IRLS solve over the distinct training rows: a deliberate
-	// behaviour change (the weights move to the exact maximum-likelihood
+	// behaviour change (the weights move to the penalised maximum-likelihood
 	// optimum), so every score moved with it.
 	want := map[int64]string{
 		1: "8598bd93b7437e487fa8b4e32f210688e1709745a6683928499609b5d6bfe60b",
