@@ -18,11 +18,10 @@ import (
 //
 // Models are plain values, independent of any catalog or process: persist
 // one with SaveModel and warm-start a fresh process with LoadModel instead
-// of re-running the offline phase. A Model carries everything the runtime
-// pipeline consumes; the offline phase's raw inputs (the enriched
+// of re-running the offline phase. A loaded Model carries everything the
+// runtime pipeline consumes; the offline phase's raw inputs (the enriched
 // historical offers, the match set, the feature table) are learning-time
-// intermediates that no Model method reads, so Learn drops them and a
-// save/load round trip never carried them.
+// diagnostics and do not survive a save/load round trip.
 type Model struct {
 	offline *core.OfflineResult
 }
@@ -117,9 +116,6 @@ func Learn(ctx context.Context, store *Catalog, historical []Offer, pages PageFe
 	if err != nil {
 		return nil, err
 	}
-	// No Model method reads the learning inputs, and on a marketplace of
-	// 7 000 historical offers they hold about 30 MB of live heap.
-	off.Offers, off.Matches, off.Features = nil, nil, nil
 	return &Model{offline: off}, nil
 }
 

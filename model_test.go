@@ -177,36 +177,6 @@ func testModelRoundTrip(t *testing.T, seed int64) {
 	}
 }
 
-// TestLearnReleasesLearningInputs: the Model Learn returns keeps none of
-// the offline phase's inputs (offers, matches, feature table), and still
-// saves to the same bytes as the full offline result.
-func TestLearnReleasesLearningInputs(t *testing.T) {
-	ctx := context.Background()
-	ds := GenerateMarketplace(MarketplaceConfig{Seed: 1, CategoriesPerDomain: 2, ProductsPerCategory: 20, Merchants: 20})
-	model, err := Learn(ctx, ds.Catalog, ds.HistoricalOffers, MapFetcher(ds.Pages))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if off := model.offline; off.Offers != nil || off.Matches != nil || off.Features != nil {
-		t.Errorf("Learn kept learning inputs: offers %v, matches %v, features %v",
-			off.Offers != nil, off.Matches != nil, off.Features != nil)
-	}
-	full, err := core.RunOffline(ctx, ds.Catalog, ds.HistoricalOffers, MapFetcher(ds.Pages), Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Features == nil {
-		t.Fatal("core.RunOffline returned no feature table")
-	}
-	var want bytes.Buffer
-	if err := core.EncodeOffline(&want, full); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(saveToBytes(t, model), want.Bytes()) {
-		t.Error("SaveModel bytes differ from the full offline result's")
-	}
-}
-
 // TestModelGoldenSnapshot pins the on-disk format: the hand-built model
 // must encode to exactly the checked-in golden file, so any format change
 // forces a deliberate version bump. Refresh with -update-golden.
