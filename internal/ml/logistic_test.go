@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 )
@@ -190,6 +191,185 @@ func TestTrainLogisticCollinear(t *testing.T) {
 	}
 	if d := math.Abs(m.Weights[0] - m.Weights[1]); d > 1e-9*math.Abs(m.Weights[0]) {
 		t.Errorf("identical columns got weights %v and %v", m.Weights[0], m.Weights[1])
+	}
+}
+
+// sgdConfig is one setting of the 200-epoch SGD learner TrainLogistic
+// replaced; zero Epochs and LearningRate mean 200 and 0.1.
+type sgdConfig struct {
+	Epochs         int
+	LearningRate   float64
+	L2             float64
+	Seed           int64
+	ClassWeighting bool
+}
+
+// refTrainLogistic is the per-example SGD learner TrainLogistic replaced,
+// kept as the baseline its fit must beat. It returns the model and the
+// order it visited the examples in on its last epoch. Inputs are assumed
+// valid.
+func refTrainLogistic(examples []Example, cfg sgdConfig) (*Logistic, []Example) {
+	if cfg.Epochs <= 0 {
+		cfg.Epochs = 200
+	}
+	if cfg.LearningRate <= 0 {
+		cfg.LearningRate = 0.1
+	}
+	dim := len(examples[0].Features)
+	pos, neg := 0, 0
+	for _, ex := range examples {
+		if ex.Label == 1 {
+			pos++
+		} else {
+			neg++
+		}
+	}
+	wPos, wNeg := 1.0, 1.0
+	if cfg.ClassWeighting {
+		n := float64(len(examples))
+		wPos = n / (2 * float64(pos))
+		wNeg = n / (2 * float64(neg))
+	}
+	model := &Logistic{Weights: make([]float64, dim)}
+	rng := rand.New(rand.NewSource(cfg.Seed))
+	order := make([]int, len(examples))
+	for i := range order {
+		order[i] = i
+	}
+	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+		lr := cfg.LearningRate / (1 + 0.01*float64(epoch))
+		for _, idx := range order {
+			ex := examples[idx]
+			p := model.Prob(ex.Features)
+			grad := p - float64(ex.Label)
+			w := wNeg
+			if ex.Label == 1 {
+				w = wPos
+			}
+			g := lr * w * grad
+			for j, x := range ex.Features {
+				model.Weights[j] -= g*x + lr*cfg.L2*model.Weights[j]
+			}
+			model.Bias -= g
+		}
+	}
+	visited := make([]Example, len(order))
+	for i, idx := range order {
+		visited[i] = examples[idx]
+	}
+	return model, visited
+}
+
+// objective is what TrainLogistic minimises: the class-weighted negative
+// log-likelihood plus (ridge/2)·‖β‖² over the weights and the bias.
+func objective(m *Logistic, examples []Example) float64 {
+	var pos float64
+	for _, ex := range examples {
+		pos += float64(ex.Label)
+	}
+	n := float64(len(examples))
+	classWeight := [2]float64{n / (2 * (n - pos)), n / (2 * pos)}
+	f := 0.0
+	for _, ex := range examples {
+		z := m.Bias
+		for j, w := range m.Weights {
+			z += w * ex.Features[j]
+		}
+		// log(1+e^z) - y·z, without overflow for large |z|.
+		nll := max(z, 0) + math.Log1p(math.Exp(-math.Abs(z))) - float64(ex.Label)*z
+		f += classWeight[ex.Label] * nll
+	}
+	sq := m.Bias * m.Bias
+	for _, w := range m.Weights {
+		sq += w * w
+	}
+	return f + ridge/2*sq
+}
+
+// TestSlabSGDBitIdentical once pinned the slab SGD loop bit for bit to the
+// per-example SGD reference; it now holds the Newton fit to that SGD
+// learner's settings, for the feature widths the pipeline uses (1, the six
+// classifier features, and seven with the name feature) and a two-example
+// set. For each SGD setting, (a) fitting the examples in the order SGD
+// last visited them gives the same weight and bias bits as the input
+// order, and (b) the Newton fit's objective is strictly below that of the
+// SGD fit, so replacing SGD never fits the training set worse.
+func TestSlabSGDBitIdentical(t *testing.T) {
+	sets := map[string][]Example{
+		"two": {
+			{Features: []float64{0.25, 0.5}, Label: 1},
+			{Features: []float64{0.75, 0.125}, Label: 0},
+		},
+	}
+	for _, dim := range []int{1, 6, 7} {
+		sets[fmt.Sprintf("dim%d", dim)] = imbalancedExamples(dim, 300, int64(dim))
+	}
+	for name, exs := range sets {
+		want, err := TrainLogistic(exs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []sgdConfig{
+			{Seed: 3},
+			{Seed: 3, ClassWeighting: true},
+			{Seed: 5, ClassWeighting: true, L2: 1e-4},
+			{Seed: 7, Epochs: 1, ClassWeighting: true},
+			{Seed: 7, Epochs: 2, ClassWeighting: true},
+		} {
+			sub := fmt.Sprintf("%s/weighting=%v/l2=%g", name, cfg.ClassWeighting, cfg.L2)
+			if cfg.Epochs > 0 {
+				sub += fmt.Sprintf("/epochs=%d", cfg.Epochs)
+			}
+			t.Run(sub, func(t *testing.T) {
+				sgd, visited := refTrainLogistic(exs, cfg)
+				got, err := TrainLogistic(visited)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := range want.Weights {
+					if math.Float64bits(got.Weights[j]) != math.Float64bits(want.Weights[j]) {
+						t.Errorf("weight %d = %v in SGD's order, %v in input order", j, got.Weights[j], want.Weights[j])
+					}
+				}
+				if math.Float64bits(got.Bias) != math.Float64bits(want.Bias) {
+					t.Errorf("bias = %v in SGD's order, %v in input order", got.Bias, want.Bias)
+				}
+				if fn, fs := objective(got, exs), objective(sgd, exs); fn >= fs {
+					t.Errorf("Newton objective %v, not below SGD's %v", fn, fs)
+				}
+			})
+		}
+	}
+}
+
+// TestTrainLogisticJoinsHelper: no goroutine outlives TrainLogistic, which
+// runs on its caller's goroutine alone. The goroutine count is no higher
+// than its baseline the moment it returns, after an error and after a fit
+// (it may be lower: a goroutine of an earlier test may still be exiting).
+func TestTrainLogisticJoinsHelper(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	for name, exs := range map[string][]Example{
+		"empty":        nil,
+		"single-class": {{Features: []float64{1}, Label: 1}, {Features: []float64{0}, Label: 1}},
+		"ragged":       {{Features: []float64{1, 2}, Label: 1}, {Features: []float64{0}, Label: 0}},
+	} {
+		if _, err := TrainLogistic(exs); err == nil {
+			t.Fatalf("%s: TrainLogistic returned no error", name)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			t.Fatalf("%s: %d goroutines after the error return, baseline %d", name, n, baseline)
+		}
+	}
+	for seed := int64(0); seed < 20; seed++ {
+		if _, err := TrainLogistic(imbalancedExamples(6, 50, seed)); err != nil {
+			t.Fatal(err)
+		}
+		if n := runtime.NumGoroutine(); n > baseline {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("seed %d: %d goroutines after the fit, baseline %d\n%s",
+				seed, n, baseline, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
 
