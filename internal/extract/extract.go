@@ -52,82 +52,116 @@ func WithOptions(page string, opts Options) catalog.Spec {
 
 // FromDOM extracts attribute-value pairs from an already-parsed DOM.
 func FromDOM(root *htmlx.Node, opts Options) catalog.Spec {
-	var spec catalog.Spec
-	seen := make(map[string]bool)
-
-	add := func(name, value string) {
-		name = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(name), ":"))
-		value = strings.TrimSpace(value)
-		if name == "" || value == "" {
-			return
-		}
-		if opts.MaxValueLen > 0 && len(value) > opts.MaxValueLen {
-			return
-		}
-		if opts.MaxPairs > 0 && len(spec) >= opts.MaxPairs {
-			return
-		}
-		// First occurrence wins; spec tables occasionally repeat rows.
-		if seen[name] {
-			return
-		}
-		seen[name] = true
-		spec = append(spec, catalog.AttributeValue{Name: name, Value: value})
+	x := extractor{opts: opts}
+	// each calls fn on every element with the tag, nested ones included,
+	// in document order.
+	each := func(tag string, fn func(*htmlx.Node)) {
+		root.Walk(func(n *htmlx.Node) bool {
+			if n.Type == htmlx.ElementNode && n.Tag == tag {
+				fn(n)
+			}
+			return true
+		})
 	}
-
-	for _, table := range root.FindAll("table") {
-		extractTable(table, add)
-	}
+	each("table", x.table)
 	if opts.IncludeDefinitionLists {
-		for _, dl := range root.FindAll("dl") {
-			extractDefinitionList(dl, add)
-		}
+		each("dl", x.definitionList)
 	}
 	if opts.IncludeBulletLists {
-		for _, li := range root.FindAll("li") {
-			extractBullet(li, add)
-		}
+		each("li", x.bullet)
 	}
-	return spec
+	return x.spec
 }
 
-// extractTable walks one table element. Per the paper, only rows with
-// exactly two cells contribute: first cell is the name, second the value.
-// Rows are found at any nesting depth below the table (tbody/thead are
-// common), but rows of nested tables are handled by their own FindAll
-// visit, so they are skipped here.
-func extractTable(table *htmlx.Node, add func(name, value string)) {
-	var rows []*htmlx.Node
+// seenMapAt is the spec length from which extractor.add looks names up in
+// a map; below it, a scan of the spec is cheaper than building one.
+const seenMapAt = 32
+
+// extractor accumulates one page's pairs.
+type extractor struct {
+	opts Options
+	spec catalog.Spec
+	seen map[string]bool // every name in spec, once len(spec) >= seenMapAt
+}
+
+func (x *extractor) add(name, value string) {
+	name = strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(name), ":"))
+	value = strings.TrimSpace(value)
+	if name == "" || value == "" {
+		return
+	}
+	if x.opts.MaxValueLen > 0 && len(value) > x.opts.MaxValueLen {
+		return
+	}
+	if x.opts.MaxPairs > 0 && len(x.spec) >= x.opts.MaxPairs {
+		return
+	}
+	// First occurrence wins; spec tables occasionally repeat rows.
+	if x.has(name) {
+		return
+	}
+	if x.spec == nil {
+		x.spec = make(catalog.Spec, 0, 8) // most spec tables fit
+	}
+	x.spec = append(x.spec, catalog.AttributeValue{Name: name, Value: value})
+	if x.seen != nil {
+		x.seen[name] = true
+	} else if len(x.spec) >= seenMapAt {
+		x.seen = make(map[string]bool, 2*len(x.spec))
+		for _, av := range x.spec {
+			x.seen[av.Name] = true
+		}
+	}
+}
+
+func (x *extractor) has(name string) bool {
+	if x.seen != nil {
+		return x.seen[name]
+	}
+	for _, av := range x.spec {
+		if av.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+// table harvests one table element. Per the paper, only rows with exactly
+// two cells contribute: first cell is the name, second the value. Rows are
+// found at any nesting depth below the table (tbody/thead are common), but
+// rows of nested tables are handled by their own visit, so they are
+// skipped here.
+func (x *extractor) table(table *htmlx.Node) {
 	table.Walk(func(n *htmlx.Node) bool {
 		if n != table && n.Type == htmlx.ElementNode && n.Tag == "table" {
 			return false // nested table: visited separately
 		}
 		if n.Type == htmlx.ElementNode && n.Tag == "tr" {
-			rows = append(rows, n)
+			x.row(n)
 			return false
 		}
 		return true
 	})
-	for _, tr := range rows {
-		cells := cellsOf(tr)
-		if len(cells) != 2 {
-			continue
-		}
-		add(cells[0].InnerText(), cells[1].InnerText())
-	}
 }
 
-func cellsOf(tr *htmlx.Node) []*htmlx.Node {
-	var cells []*htmlx.Node
+// row adds the pair of a row with exactly two td/th cells.
+func (x *extractor) row(tr *htmlx.Node) {
+	var cells [2]*htmlx.Node
+	n := 0
 	for _, c := range tr.Children {
 		if c.Type == htmlx.ElementNode && (c.Tag == "td" || c.Tag == "th") {
-			cells = append(cells, c)
+			if n < len(cells) {
+				cells[n] = c
+			}
+			n++
 		}
 	}
-	return cells
+	if n == 2 {
+		x.add(cells[0].InnerText(), cells[1].InnerText())
+	}
 }
 
-func extractDefinitionList(dl *htmlx.Node, add func(name, value string)) {
+func (x *extractor) definitionList(dl *htmlx.Node) {
 	var pendingName string
 	for _, c := range dl.Children {
 		if c.Type != htmlx.ElementNode {
@@ -138,16 +172,16 @@ func extractDefinitionList(dl *htmlx.Node, add func(name, value string)) {
 			pendingName = c.InnerText()
 		case "dd":
 			if pendingName != "" {
-				add(pendingName, c.InnerText())
+				x.add(pendingName, c.InnerText())
 				pendingName = ""
 			}
 		}
 	}
 }
 
-// extractBullet parses "Name: Value" items. Only the first colon splits; a
-// value may itself contain colons ("Interface: SATA: 300" keeps "SATA: 300").
-func extractBullet(li *htmlx.Node, add func(name, value string)) {
+// bullet parses "Name: Value" items. Only the first colon splits; a value
+// may itself contain colons ("Interface: SATA: 300" keeps "SATA: 300").
+func (x *extractor) bullet(li *htmlx.Node) {
 	text := li.InnerText()
 	colon := strings.IndexByte(text, ':')
 	if colon <= 0 || colon == len(text)-1 {
@@ -158,5 +192,5 @@ func extractBullet(li *htmlx.Node, add func(name, value string)) {
 	if len(strings.Fields(name)) > 6 {
 		return
 	}
-	add(name, text[colon+1:])
+	x.add(name, text[colon+1:])
 }

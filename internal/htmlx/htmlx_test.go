@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTokenizeSimple(t *testing.T) {
@@ -87,6 +88,76 @@ func TestTokenizeScriptRawText(t *testing.T) {
 	}
 	if toks[3].Data != "p" {
 		t.Errorf("after = %+v", toks[3])
+	}
+}
+
+// TestTokenizeScriptCloserNonASCII pins the script/style closer search to
+// byte offsets in the page itself. Searching a strings.ToLower copy went
+// wrong whenever lower-casing changed byte lengths before the closer: an
+// invalid UTF-8 byte becomes a 3-byte U+FFFD (and the index ran past the
+// end of the page, a panic), 'İ' shrinks from 2 bytes to 1 and the Kelvin
+// sign from 3 to 1.
+func TestTokenizeScriptCloserNonASCII(t *testing.T) {
+	cases := []struct{ name, tag, body, closer string }{
+		{"invalid UTF-8", "script", "var s = \"" + strings.Repeat("\xe9", 12) + "\";", "</script>"},
+		{"dotted capital I", "script", `var s = "İİİİ";`, "</script>"},
+		{"Kelvin sign", "style", "/* \u212a\u212a\u212a\u212a */", "</style>"},
+		{"upper-case closer", "script", "var k = \"\u212a\xff\";", "</SCRIPT >"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			page := "<" + c.tag + ">" + c.body + c.closer + "<p>after</p>"
+			toks := Tokenize(page)
+			want := []Token{
+				{Type: StartTagToken, Data: c.tag},
+				{Type: TextToken, Data: c.body},
+				{Type: EndTagToken, Data: c.tag},
+				{Type: StartTagToken, Data: "p"},
+				{Type: TextToken, Data: "after"},
+				{Type: EndTagToken, Data: "p"},
+			}
+			if len(toks) != len(want) {
+				t.Fatalf("got %d tokens %q, want %d", len(toks), toks, len(want))
+			}
+			for i := range want {
+				if toks[i].Type != want[i].Type || toks[i].Data != want[i].Data {
+					t.Errorf("token %d = {%d %q}, want {%d %q}", i, toks[i].Type, toks[i].Data, want[i].Type, want[i].Data)
+				}
+			}
+			if got := Parse(page).InnerText(); got != "after" {
+				t.Errorf("InnerText = %q, want %q", got, "after")
+			}
+		})
+	}
+}
+
+// TestChildrenAppendDoesNotClobber: every Children list is cut from one
+// backing array per page, so each must have cap == len, or a caller's
+// append would overwrite the next node's children.
+func TestChildrenAppendDoesNotClobber(t *testing.T) {
+	root := Parse(`<div><p>a</p><p>b</p></div><span>c</span>`)
+	div, span := root.Children[0], root.Children[1]
+	div.Children = append(div.Children, &Node{Type: TextNode, Text: "x"})
+	if span.Tag != "span" || len(span.Children) != 1 || span.Children[0].Text != "c" {
+		t.Fatalf("appending to one Children list changed another: span = %+v", span)
+	}
+	if got := root.InnerText(); got != "a b x c" {
+		t.Errorf("InnerText = %q, want %q", got, "a b x c")
+	}
+}
+
+// TestInnerTextDoesNotAliasPage: spec values outlive the page in the Model
+// and in stream memory, so InnerText must copy, even when the text is one
+// text node that needs no collapsing.
+func TestInnerTextDoesNotAliasPage(t *testing.T) {
+	page := "<table><tr><td>Brand</td><td>Acme</td></tr></table>"
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(page)))
+	hi := lo + uintptr(len(page))
+	for _, td := range Parse(page).FindAll("td") {
+		got := td.InnerText()
+		if p := uintptr(unsafe.Pointer(unsafe.StringData(got))); p >= lo && p < hi {
+			t.Errorf("InnerText %q aliases the page", got)
+		}
 	}
 }
 

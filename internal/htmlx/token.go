@@ -7,6 +7,14 @@
 //
 // It intentionally does not implement the full WHATWG parsing algorithm;
 // the subset implemented is documented per function and covered by tests.
+//
+// Parse runs once per landing page on every offer, so it is built to make
+// little garbage. The lexer streams tokens into the tree builder; no token
+// slice exists unless Tokenize is called. A page's nodes live in one slab,
+// every Children list is cut from one backing array, and the tags' Attrs
+// from a shared one; each cut has cap == len. Node text and attribute values
+// may share memory with the page, but InnerText always returns a fresh
+// string, so spec values kept after extraction never keep a page alive.
 package htmlx
 
 import (
@@ -47,34 +55,50 @@ type Attr struct {
 }
 
 // Tokenize lexes the whole document into tokens. It never fails: malformed
-// markup degrades to text, mirroring browser behaviour.
+// markup degrades to text, mirroring browser behaviour. Parse does not call
+// it: Parse takes the same tokens straight from the lexer, one at a time.
 func Tokenize(input string) []Token {
 	var toks []Token
+	lex(input, func(tok Token) { toks = append(toks, tok) })
+	return toks
+}
+
+// lex calls emit once per token of input, in document order, and builds no
+// token slice. Every tag's Attrs is cut, with cap == len, from a backing
+// array shared by the whole call, so appending to one tag's Attrs never
+// overwrites another's.
+func lex(input string, emit func(Token)) {
+	var attrs []Attr
+	text := func(raw string) {
+		if raw != "" {
+			emit(Token{Type: TextToken, Data: UnescapeEntities(raw)})
+		}
+	}
 	i := 0
 	n := len(input)
 	for i < n {
 		lt := strings.IndexByte(input[i:], '<')
 		if lt < 0 {
-			emitText(&toks, input[i:])
+			text(input[i:])
 			break
 		}
 		if lt > 0 {
-			emitText(&toks, input[i:i+lt])
+			text(input[i : i+lt])
 			i += lt
 		}
 		// input[i] == '<'
 		if i+1 >= n {
-			emitText(&toks, input[i:])
+			text(input[i:])
 			break
 		}
 		switch {
 		case strings.HasPrefix(input[i:], "<!--"):
 			end := strings.Index(input[i+4:], "-->")
 			if end < 0 {
-				toks = append(toks, Token{Type: CommentToken, Data: input[i+4:]})
+				emit(Token{Type: CommentToken, Data: input[i+4:]})
 				i = n
 			} else {
-				toks = append(toks, Token{Type: CommentToken, Data: input[i+4 : i+4+end]})
+				emit(Token{Type: CommentToken, Data: input[i+4 : i+4+end]})
 				i += 4 + end + 3
 			}
 		case input[i+1] == '!' || input[i+1] == '?':
@@ -83,44 +107,42 @@ func Tokenize(input string) []Token {
 			if end < 0 {
 				i = n
 			} else {
-				toks = append(toks, Token{Type: CommentToken, Data: input[i+1 : i+end]})
+				emit(Token{Type: CommentToken, Data: input[i+1 : i+end]})
 				i += end + 1
 			}
 		case input[i+1] == '/':
 			end := strings.IndexByte(input[i:], '>')
 			if end < 0 {
-				emitText(&toks, input[i:])
+				text(input[i:])
 				i = n
 				break
 			}
 			name := strings.ToLower(strings.TrimSpace(input[i+2 : i+end]))
 			if name != "" {
-				toks = append(toks, Token{Type: EndTagToken, Data: name})
+				emit(Token{Type: EndTagToken, Data: name})
 			}
 			i += end + 1
 		case isNameStart(input[i+1]):
-			tok, next := lexStartTag(input, i)
-			toks = append(toks, tok)
-			i = next
+			var tok Token
+			tok, i, attrs = lexStartTag(input, i, attrs)
+			emit(tok)
 			// script and style content is raw text until the matching
 			// close tag; never interpret tags inside it.
 			if tok.Type == StartTagToken && (tok.Data == "script" || tok.Data == "style") {
-				closer := "</" + tok.Data
-				rest := strings.ToLower(input[i:])
-				end := strings.Index(rest, closer)
+				end := indexCloser(input[i:], tok.Data)
 				if end < 0 {
 					if i < n {
-						toks = append(toks, Token{Type: TextToken, Data: input[i:]})
+						emit(Token{Type: TextToken, Data: input[i:]})
 					}
 					i = n
 					break
 				}
 				if end > 0 {
-					toks = append(toks, Token{Type: TextToken, Data: input[i : i+end]})
+					emit(Token{Type: TextToken, Data: input[i : i+end]})
 				}
 				i += end
 				gt := strings.IndexByte(input[i:], '>')
-				toks = append(toks, Token{Type: EndTagToken, Data: tok.Data})
+				emit(Token{Type: EndTagToken, Data: tok.Data})
 				if gt < 0 {
 					i = n
 				} else {
@@ -129,27 +151,58 @@ func Tokenize(input string) []Token {
 			}
 		default:
 			// A lone '<' that does not open a tag: literal text.
-			emitText(&toks, "<")
+			text("<")
 			i++
 		}
 	}
-	return toks
 }
 
-func emitText(toks *[]Token, raw string) {
-	if raw == "" {
-		return
+// indexCloser returns the index of the first "</" + tag in s, matching the
+// ASCII letters of tag case-insensitively, or -1. It searches s itself, not
+// a lower-cased copy: strings.ToLower changes byte lengths (an invalid byte
+// becomes a 3-byte U+FFFD, 'İ' and the Kelvin sign shrink to 'i' and 'k'),
+// so an index into the copy is not an index into s. No non-ASCII rune lower-cases into
+// "</script" or "</style", so this finds what a lower-cased search meant to.
+func indexCloser(s, tag string) int {
+	for i := 0; ; {
+		lt := strings.IndexByte(s[i:], '<')
+		if lt < 0 {
+			return -1
+		}
+		i += lt
+		if len(s)-i < 2+len(tag) {
+			return -1
+		}
+		if s[i+1] == '/' && equalFoldASCII(s[i+2:i+2+len(tag)], tag) {
+			return i
+		}
+		i++
 	}
-	*toks = append(*toks, Token{Type: TextToken, Data: UnescapeEntities(raw)})
+}
+
+// equalFoldASCII reports whether s equals the lower-case ASCII word lower
+// when s's ASCII upper-case letters are lower-cased.
+func equalFoldASCII(s, lower string) bool {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
+	}
+	return true
 }
 
 func isNameStart(c byte) bool {
 	return c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z'
 }
 
-// lexStartTag lexes a start tag beginning at input[start] == '<'.
-// Returns the token and the index just past the closing '>'.
-func lexStartTag(input string, start int) (Token, int) {
+// lexStartTag lexes a start tag beginning at input[start] == '<'. It
+// appends the tag's attributes to attrs and cuts tok.Attrs from it. Returns
+// the token, the index just past the closing '>', and the grown attrs.
+func lexStartTag(input string, start int, attrs []Attr) (Token, int, []Attr) {
 	i := start + 1
 	n := len(input)
 	nameStart := i
@@ -157,16 +210,20 @@ func lexStartTag(input string, start int) (Token, int) {
 		i++
 	}
 	tok := Token{Type: StartTagToken, Data: strings.ToLower(input[nameStart:i])}
+	first := len(attrs)
+	next := n
+scan:
 	for i < n {
 		// Skip whitespace.
 		for i < n && isSpace(input[i]) {
 			i++
 		}
 		if i >= n {
-			return tok, n
+			break
 		}
 		if input[i] == '>' {
-			return tok, i + 1
+			next = i + 1
+			break
 		}
 		if input[i] == '/' {
 			// Possibly self-closing.
@@ -176,7 +233,8 @@ func lexStartTag(input string, start int) (Token, int) {
 			}
 			if j < n && input[j] == '>' {
 				tok.Type = SelfClosingToken
-				return tok, j + 1
+				next = j + 1
+				break scan
 			}
 			i++
 			continue
@@ -216,10 +274,13 @@ func lexStartTag(input string, start int) (Token, int) {
 			}
 		}
 		if key != "" {
-			tok.Attrs = append(tok.Attrs, Attr{Key: key, Val: UnescapeEntities(val)})
+			attrs = append(attrs, Attr{Key: key, Val: UnescapeEntities(val)})
 		}
 	}
-	return tok, n
+	if len(attrs) > first {
+		tok.Attrs = attrs[first:len(attrs):len(attrs)]
+	}
+	return tok, next, attrs
 }
 
 func isSpace(c byte) bool {
