@@ -36,14 +36,30 @@
 //   - Panic recovery: a panicking handler is answered 500 and counted
 //     like any other request, and a panicking Reload is a failed reload;
 //     neither takes the daemon down.
+//
+// Request decoding: a /v1/synthesize body is read whole and decoded in
+// one pass by decodeRequest, which accepts only the canonical subset of
+// JSON that json.Marshal writes for a SynthesizeRequest: the exact
+// lower-case keys of the struct tags, each at most once per object;
+// strings with the standard escapes (\uXXXX outside the surrogate range)
+// that decode to valid UTF-8; integers in int64 range, with no fraction or
+// exponent. Every other body (null, case-variant, escaped or duplicate
+// keys, surrogate escapes, invalid UTF-8, 1.0 or 1e3, unknown fields,
+// syntax errors, a failed read) is decoded by encoding/json's Decoder with
+// unknown fields refused, as all bodies were before: it alone decides
+// their status, error body and value. /v1/synthesize/stream bodies always
+// take encoding/json.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
+	"math"
 	"net"
 	"net/http"
 	"runtime/debug"
@@ -307,11 +323,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // requestCtx derives the synthesis context: the server's timeout, tightened
-// by the request's timeout_ms when that is smaller.
+// by the request's timeout_ms when that is smaller. A timeout_ms too large
+// for a time.Duration tightens nothing; it must not wrap to a short one.
 func (s *Server) requestCtx(r *http.Request, timeoutMillis int64) (context.Context, context.CancelFunc) {
 	timeout := s.opts.RequestTimeout
-	if reqTO := time.Duration(timeoutMillis) * time.Millisecond; reqTO > 0 && (timeout <= 0 || reqTO < timeout) {
-		timeout = reqTO
+	if timeoutMillis > 0 && timeoutMillis <= math.MaxInt64/int64(time.Millisecond) {
+		if reqTO := time.Duration(timeoutMillis) * time.Millisecond; timeout <= 0 || reqTO < timeout {
+			timeout = reqTO
+		}
 	}
 	if timeout <= 0 {
 		return context.WithCancel(r.Context())
@@ -351,10 +370,36 @@ func (s *Server) fetcher(pages []PageJSON) (prodsynth.PageFetcher, error) {
 	return pf, nil
 }
 
-// decodeJSON decodes the request body into into, answering 400 for a
-// malformed body and 413 for one over maxRequestBody.
-func decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBody))
+// decodeSynthesize reads a /v1/synthesize body whole and decodes it with
+// decodeRequest. A body that decoder does not accept, and one whose read
+// failed, goes to decodeJSON: the same bytes, then the read's error, so
+// every status, error body and value is encoding/json's.
+func decodeSynthesize(w http.ResponseWriter, r *http.Request, req *SynthesizeRequest) bool {
+	// The buffer grows as the bytes arrive, never from Content-Length:
+	// that header is the client's to set.
+	var body bytes.Buffer
+	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err == nil && decodeRequest(body.Bytes(), req) {
+		return true
+	}
+	*req = SynthesizeRequest{}
+	var rest io.Reader = &body
+	if err != nil {
+		rest = io.MultiReader(&body, failedRead{err})
+	}
+	return decodeJSON(w, rest, req)
+}
+
+// failedRead replays a body read's error after the bytes that arrived.
+type failedRead struct{ err error }
+
+func (f failedRead) Read([]byte) (int, error) { return 0, f.err }
+
+// decodeJSON decodes one JSON value from body into into with encoding/json,
+// unknown fields refused, answering 400 for a malformed body and 413 for
+// one over maxRequestBody.
+func decodeJSON(w http.ResponseWriter, body io.Reader, into any) bool {
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		code := http.StatusBadRequest
@@ -370,7 +415,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, into any) bool {
 
 func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	var req SynthesizeRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeSynthesize(w, r, &req) {
 		return
 	}
 	fetcher, err := s.fetcher(req.Pages)
@@ -409,7 +454,7 @@ func synthesisErrorCode(ctx context.Context, err error) int {
 
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	var req StreamRequest
-	if !decodeJSON(w, r, &req) {
+	if !decodeJSON(w, http.MaxBytesReader(w, r.Body, maxRequestBody), &req) {
 		return
 	}
 	fetcher, err := s.fetcher(req.Pages)

@@ -534,6 +534,37 @@ func TestRequestTimeout(t *testing.T) {
 	close(gate.release) // un-park the fetch goroutines so the pipeline drains
 }
 
+// TestRequestTimeoutOverflow: a timeout_ms too large for a time.Duration
+// asks for more than the server's cap, so it tightens nothing. It must not
+// wrap: 18446744073710 ms in nanoseconds wraps to 448µs, which a fetch
+// slower than that would turn into a 504.
+func TestRequestTimeoutOverflow(t *testing.T) {
+	ds, sys := learnedSystem(t)
+	var once sync.Once
+	slow := func(inner prodsynth.PageFetcher) prodsynth.PageFetcher {
+		return &slowFirstFetch{inner: inner, once: &once}
+	}
+	ts := httptest.NewServer(serve.New(sys, serve.Options{WrapFetcher: slow}))
+	defer ts.Close()
+
+	req := synthesizeRequest(ds)
+	req.TimeoutMillis = 18446744073710
+	if resp, body := post(t, ts.Client(), ts.URL+"/v1/synthesize", req); resp.StatusCode != http.StatusOK {
+		t.Fatalf("status = %d, want 200; body %s", resp.StatusCode, body)
+	}
+}
+
+// slowFirstFetch delays the first fetch by 20ms.
+type slowFirstFetch struct {
+	inner prodsynth.PageFetcher
+	once  *sync.Once
+}
+
+func (f *slowFirstFetch) Fetch(url string) (string, error) {
+	f.once.Do(func() { time.Sleep(20 * time.Millisecond) })
+	return f.inner.Fetch(url)
+}
+
 // TestDuplicatePageRejected is the serving half of the MapFetcher
 // duplicate fix: a request repeating a page URL with a different body is
 // a 400, while an exact repeat is tolerated.

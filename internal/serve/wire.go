@@ -1,6 +1,9 @@
 package serve
 
 import (
+	"slices"
+	"strings"
+
 	"prodsynth"
 )
 
@@ -189,16 +192,9 @@ func WirePages(pages map[string]string) []PageJSON {
 	for url, html := range pages {
 		out = append(out, PageJSON{URL: url, HTML: html})
 	}
-	sortPages(out)
+	// The URLs are map keys, so no two compare equal.
+	slices.SortFunc(out, func(a, b PageJSON) int { return strings.Compare(a.URL, b.URL) })
 	return out
-}
-
-func sortPages(pages []PageJSON) {
-	for i := 1; i < len(pages); i++ {
-		for j := i; j > 0 && pages[j].URL < pages[j-1].URL; j-- {
-			pages[j], pages[j-1] = pages[j-1], pages[j]
-		}
-	}
 }
 
 // fetcherFromWire builds the request's page fetcher, rejecting duplicate
