@@ -79,6 +79,8 @@ const (
 	readHeaderTimeout = 10 * time.Second
 	// idleTimeout closes a keep-alive connection idle this long.
 	idleTimeout = 2 * time.Minute
+	// maxChunk caps the chunks a /v1/synthesize body is read into.
+	maxChunk = 1 << 20
 )
 
 // Options configures a Server. The zero value serves with the defaults
@@ -375,19 +377,45 @@ func (s *Server) fetcher(pages []PageJSON) (prodsynth.PageFetcher, error) {
 // failed, goes to decodeJSON: the same bytes, then the read's error, so
 // every status, error body and value is encoding/json's.
 func decodeSynthesize(w http.ResponseWriter, r *http.Request, req *SynthesizeRequest) bool {
-	// The buffer grows as the bytes arrive, never from Content-Length:
-	// that header is the client's to set.
-	var body bytes.Buffer
-	_, err := body.ReadFrom(http.MaxBytesReader(w, r.Body, maxRequestBody))
-	if err == nil && decodeRequest(body.Bytes(), req) {
+	chunks, err := readChunks(http.MaxBytesReader(w, r.Body, maxRequestBody))
+	if err == nil && decodeRequest(bytes.Join(chunks, nil), req) {
 		return true
 	}
 	*req = SynthesizeRequest{}
-	var rest io.Reader = &body
-	if err != nil {
-		rest = io.MultiReader(&body, failedRead{err})
+	// io.MultiReader drops each chunk's reader once the decoder has read
+	// it, so what has been replayed can be freed while the decoder's own
+	// buffer grows: a body over the cap is not held twice throughout.
+	rest := make([]io.Reader, 0, len(chunks)+1)
+	for _, c := range chunks {
+		rest = append(rest, bytes.NewReader(c))
 	}
-	return decodeJSON(w, rest, req)
+	if err != nil {
+		rest = append(rest, failedRead{err})
+	}
+	return decodeJSON(w, io.MultiReader(rest...), req)
+}
+
+// readChunks reads r to its end in chunks that double in size up to
+// maxChunk. They grow as the bytes arrive, never from Content-Length:
+// that header is the client's to set.
+func readChunks(r io.Reader) ([][]byte, error) {
+	var chunks [][]byte
+	for size := 4 << 10; ; size = min(2*size, maxChunk) {
+		c := make([]byte, 0, size)
+		var err error
+		for len(c) < cap(c) && err == nil {
+			var n int
+			n, err = r.Read(c[len(c):cap(c)])
+			c = c[:len(c)+n]
+		}
+		chunks = append(chunks, c)
+		if err == io.EOF {
+			return chunks, nil
+		}
+		if err != nil {
+			return chunks, err
+		}
+	}
 }
 
 // failedRead replays a body read's error after the bytes that arrived.
