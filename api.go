@@ -344,9 +344,9 @@ var ErrDuplicatePage = core.ErrDuplicatePage
 func NewMapFetcher(docs []PageDoc) (MapFetcher, error) { return core.MapFetcherFromDocs(docs) }
 
 // MatchRegistry is the shared cache of per-category title indexes. Set one
-// on Config.Matcher.Registry to give a pipeline an independent lifecycle
-// or memory bound; leave it nil to share DefaultRegistry with the rest of
-// the process.
+// on Config.Registry (WithMatchRegistry) to give a pipeline an independent
+// lifecycle or memory bound; leave it nil to share DefaultRegistry with
+// the rest of the process.
 type MatchRegistry = match.Registry
 
 // MatchRegistryOptions tunes a MatchRegistry: MaxEntries is an exact LRU

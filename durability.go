@@ -19,8 +19,9 @@ type Durable struct {
 	m *durable.Manager
 }
 
-// DurabilityOptions configures OpenDurable: fsync policy, segment size,
-// and the background compaction triggers used by Run.
+// DurabilityOptions configures OpenDurable: fsync policy (Run flushes
+// every 100 ms under SyncInterval), segment size, and the background
+// compaction triggers used by Run.
 type DurabilityOptions = durable.Options
 
 // DurabilityStats is a point-in-time snapshot of a Durable's health:

@@ -9,7 +9,6 @@
 package cluster
 
 import (
-	"sort"
 	"strings"
 
 	"prodsynth/internal/catalog"
@@ -227,15 +226,4 @@ func Summarize(clusters []Cluster, skipped []offer.Offer) Stats {
 		}
 	}
 	return st
-}
-
-// SortBySize orders clusters by descending member count (stable; ties by
-// key) — convenient for reporting.
-func SortBySize(clusters []Cluster) {
-	sort.SliceStable(clusters, func(i, j int) bool {
-		if len(clusters[i].Offers) != len(clusters[j].Offers) {
-			return len(clusters[i].Offers) > len(clusters[j].Offers)
-		}
-		return clusters[i].Key < clusters[j].Key
-	})
 }

@@ -155,10 +155,6 @@ func TestSummarizeAndSort(t *testing.T) {
 		st.LargestSize != 3 || st.SingletonSize != 1 {
 		t.Errorf("stats = %+v", st)
 	}
-	SortBySize(clusters)
-	if clusters[0].Key != "A" {
-		t.Errorf("sort order wrong: %+v", clusters)
-	}
 }
 
 func TestGroupDeterministicOrder(t *testing.T) {

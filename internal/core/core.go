@@ -110,15 +110,11 @@ func (m MapFetcher) Fetch(url string) (string, error) {
 type Config struct {
 	// Extraction configures the web-page attribute extractor.
 	Extraction extract.Options
-	// Matcher configures offer-to-product matching, offline and at
-	// runtime. Set Matcher.Registry to give the pipeline a private index
-	// cache with its own LRU bound
-	// (match.NewRegistryWithOptions); nil shares the process-wide
-	// default. The pipeline matches one offer at a time on its own pool
-	// and ignores Matcher.Workers.
-	Matcher match.Matcher
-	// Features configures distributional feature computation.
-	Features correspond.FeatureOptions
+	// Registry caches the per-category title indexes that offer-to-product
+	// matching uses, offline and at runtime. Set it to give the pipeline a
+	// private cache with its own LRU bound (match.NewRegistryWithOptions);
+	// nil shares the process-wide default.
+	Registry *match.Registry
 	// ScoreThreshold is the classifier probability above which a
 	// candidate becomes a correspondence (default 0.5).
 	ScoreThreshold float64
@@ -131,9 +127,9 @@ type Config struct {
 	// strategies, like the provided ones, are).
 	Fusion fusion.Strategy
 	// Workers bounds the pipeline's worker pools (default 4): the
-	// per-offer front half (classify, extract, match, reconcile) and the
-	// per-cluster fusion fan-out. It also seeds Features.Workers when
-	// that is unset. Output is identical for every value.
+	// per-offer front half (classify, extract, match, reconcile), offline
+	// feature computation and the per-cluster fusion fan-out. Output is
+	// identical for every value.
 	Workers int
 	// StrictPages makes a landing-page fetch failure fatal to a run —
 	// runtime (Synthesize, a stream wave) and offline (Learn) alike. By
@@ -179,10 +175,6 @@ func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
 		c.Workers = 4
 	}
-	if c.Features.Workers <= 0 {
-		c.Features.Workers = c.Workers
-	}
-	c.Features.UseMatches = true
 	return c
 }
 
@@ -325,7 +317,7 @@ func RunOffline(ctx context.Context, store *catalog.Store, historical []offer.Of
 		return nil, errors.New("core: no historical offer-to-product matches; offline learning has no signal")
 	}
 
-	ft := correspond.ComputeFeatures(store, set, matches, cfg.Features)
+	ft := correspond.ComputeFeatures(store, set, matches, correspond.FeatureOptions{UseMatches: true, Workers: cfg.Workers})
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}

@@ -110,16 +110,17 @@ func TestOfflinePhase(t *testing.T) {
 
 func TestOfflineNoMatchesError(t *testing.T) {
 	ds := dataset(t)
-	cfg := Config{Matcher: match.Matcher{DisableTitleMatching: true}}
-	// Strip the UPC pairs so identifier matching fails too.
+	// Strip the titles so title matching fails, and the UPC pairs so
+	// identifier matching fails too.
 	stripped := make([]offer.Offer, len(ds.HistoricalOffers))
 	for i, o := range ds.HistoricalOffers {
 		c := o.Clone()
+		c.Title = ""
 		c.Spec = nil
 		stripped[i] = c
 	}
 	// Without pages there are no specs at all -> no matches.
-	_, err := RunOffline(context.Background(), ds.Catalog, stripped, nil, cfg)
+	_, err := RunOffline(context.Background(), ds.Catalog, stripped, nil, Config{})
 	if err == nil {
 		t.Fatal("expected error with no matches")
 	}
@@ -305,7 +306,7 @@ func TestPrepareIncomingBoundedRegistry(t *testing.T) {
 	ds := dataset(t)
 	fetcher := MapFetcher(ds.Pages)
 	reg := match.NewRegistryWithOptions(match.RegistryOptions{MaxEntries: 1})
-	cfg := Config{Workers: 4, Matcher: match.Matcher{Registry: reg}}
+	cfg := Config{Workers: 4, Registry: reg}
 	off, err := RunOffline(context.Background(), ds.Catalog, ds.HistoricalOffers, fetcher, cfg)
 	if err != nil {
 		t.Fatal(err)

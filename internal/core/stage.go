@@ -63,7 +63,7 @@ type offerOut struct {
 // mid-backoff — instead of being abandoned; a plain PageFetcher is
 // checked before the call and allowed to finish once started.
 func frontHalf(ctx context.Context, store *catalog.Store, classifier *categorize.Classifier, correspondences *correspond.Set, offers []offer.Offer, pages PageFetcher, cfg Config, tally *fetchTally) ([]offerOut, error) {
-	matcher := cfg.Matcher.Bind(store)
+	matcher := match.Matcher{Registry: cfg.Registry}.Bind(store)
 	return pipe.MapSlice(ctx, cfg.Workers, offers, func(ctx context.Context, o offer.Offer) (offerOut, error) {
 		if classifier != nil && o.CategoryID == "" {
 			if cat, _ := classifier.Classify(o.Title); cat != "" {

@@ -47,9 +47,6 @@ var FeatureNames = []string{
 	"Jaccard-MC", "Jaccard-C", "Jaccard-M",
 }
 
-// NumFeatures is the feature vector dimension.
-const NumFeatures = 6
-
 // Scored is a candidate with its classifier score.
 type Scored struct {
 	Candidate

@@ -3,6 +3,7 @@ package correspond
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"prodsynth/internal/catalog"
@@ -92,7 +93,7 @@ func TestFigure5FeatureOrdering(t *testing.T) {
 		if !ok {
 			t.Fatalf("candidate <%s,%s> missing", ap, ao)
 		}
-		return ft.Feature(i, feat)
+		return ft.Features(i)[slices.Index(ft.Names(), feat)]
 	}
 
 	// Figure 5d: JS(Speed, RPM) = 0 -> similarity 1; disjoint pairs -> 0.
@@ -159,8 +160,9 @@ func TestNoMatchesModeDiffers(t *testing.T) {
 	// With matches the Speed/RPM distributions are identical (sim 1);
 	// without, the catalog contains 10000-rpm products no offer covers,
 	// so similarity must drop (the paper's §3.1 motivating example).
-	simWith := withM.Feature(i1, "JS-MC")
-	simWithout := without.Feature(i2, "JS-MC")
+	col := slices.Index(FeatureNames, "JS-MC")
+	simWith := withM.Features(i1)[col]
+	simWithout := without.Features(i2)[col]
 	if simWithout >= simWith {
 		t.Errorf("no-match similarity %g should be < match-restricted %g", simWithout, simWith)
 	}
@@ -419,17 +421,18 @@ func BenchmarkComputeFeatures(b *testing.B) {
 func TestNameFeature(t *testing.T) {
 	st, offers, matches := figure5Fixture(t)
 	ft := ComputeFeatures(st, offers, matches, FeatureOptions{UseMatches: true, IncludeNameFeature: true})
-	if got := len(ft.Names()); got != NumFeatures+1 {
-		t.Fatalf("feature width = %d, want %d", got, NumFeatures+1)
+	if got := len(ft.Names()); got != len(FeatureNames)+1 {
+		t.Fatalf("feature width = %d, want %d", got, len(FeatureNames)+1)
 	}
 	key := offer.SchemaKey{Merchant: "hdshop", CategoryID: "hd"}
 	i, ok := ft.Lookup(Candidate{Key: key, CatalogAttr: "Interface", MerchantAttr: "Int. Type"})
 	if !ok {
 		t.Fatal("candidate missing")
 	}
-	near := ft.Feature(i, NameFeature)
+	name := slices.Index(ft.Names(), NameFeature)
+	near := ft.Features(i)[name]
 	j, _ := ft.Lookup(Candidate{Key: key, CatalogAttr: "Speed", MerchantAttr: "Int. Type"})
-	far := ft.Feature(j, NameFeature)
+	far := ft.Features(j)[name]
 	if near <= far {
 		t.Errorf("name similarity: Interface/Int.Type %.3f <= Speed/Int.Type %.3f", near, far)
 	}
@@ -452,18 +455,19 @@ func TestDropFeature(t *testing.T) {
 	if dropped.Len() != ft.Len() {
 		t.Fatal("length changed")
 	}
+	jsMC, jsC := slices.Index(FeatureNames, "JS-MC"), slices.Index(FeatureNames, "JS-C")
 	for i := 0; i < ft.Len(); i++ {
-		if dropped.Feature(i, "JS-MC") != 0 {
+		if dropped.Features(i)[jsMC] != 0 {
 			t.Fatalf("JS-MC not zeroed at %d", i)
 		}
-		if dropped.Feature(i, "JS-C") != ft.Feature(i, "JS-C") {
+		if dropped.Features(i)[jsC] != ft.Features(i)[jsC] {
 			t.Fatalf("JS-C changed at %d", i)
 		}
 	}
 	// Original untouched.
 	any := false
 	for i := 0; i < ft.Len(); i++ {
-		if ft.Feature(i, "JS-MC") != 0 {
+		if ft.Features(i)[jsMC] != 0 {
 			any = true
 		}
 	}

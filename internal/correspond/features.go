@@ -58,14 +58,6 @@ func (ft *FeatureTable) Lookup(c Candidate) (int, bool) {
 	return slices.BinarySearchFunc(ft.candidates, c, compareCandidates)
 }
 
-// Feature returns one named feature of candidate i.
-func (ft *FeatureTable) Feature(i int, name string) float64 {
-	if j := slices.Index(ft.names, name); j >= 0 {
-		return ft.Features(i)[j]
-	}
-	return 0
-}
-
 // DropFeature returns a copy of the table with the named feature zeroed —
 // the substrate for drop-one-feature ablations. The underlying candidate
 // slice is shared; feature vectors are copied.

@@ -1,9 +1,9 @@
 // Package distsim implements the distributional- and string-similarity
 // measures used by the schema reconciliation component and the baseline
-// matchers: Kullback-Leibler and Jensen-Shannon divergence over term
-// distributions (paper §3.1), and the lexical similarities (edit distance,
-// Jaro-Winkler, n-gram overlap, TF-IDF cosine, SoftTFIDF) required by the
-// COMA++- and DUMAS-style baselines (paper §5.2, Appendices C and D).
+// matchers: Jensen-Shannon divergence over term distributions (paper
+// §3.1), and the lexical similarities (edit distance, Jaro-Winkler, n-gram
+// overlap, TF-IDF cosine, SoftTFIDF) required by the COMA++- and
+// DUMAS-style baselines (paper §5.2, Appendices C and D).
 package distsim
 
 import (
@@ -12,31 +12,6 @@ import (
 
 	"prodsynth/internal/text"
 )
-
-// KL returns the Kullback-Leibler divergence KL(p ‖ q) in nats:
-//
-//	KL(p‖q) = Σ_t p(t) · log( p(t) / q(t) )
-//
-// Terms with p(t)=0 contribute nothing. The caller must ensure q dominates p
-// (q(t)>0 wherever p(t)>0); within the pipeline this always holds because q
-// is a mixture containing p. If domination is violated, KL returns +Inf,
-// which is the mathematically correct value.
-func KL(p, q text.Distribution) float64 {
-	var sum float64
-	qc := cursor{d: q}
-	for i, tok := range p.Tokens() {
-		pt := p.Probs()[i]
-		if pt == 0 {
-			continue
-		}
-		qt := qc.p(tok)
-		if qt == 0 {
-			return math.Inf(1)
-		}
-		sum += pt * math.Log(pt/qt)
-	}
-	return sum
-}
 
 // cursor looks up probabilities in a distribution for tokens presented in
 // ascending order, walking its sorted support once: the merge half of a

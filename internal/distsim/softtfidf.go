@@ -35,9 +35,6 @@ func (c *Corpus) AddDocument(value string) {
 	}
 }
 
-// NumDocs returns the number of documents added.
-func (c *Corpus) NumDocs() int { return c.numDocs }
-
 // IDF returns the smoothed inverse document frequency of term t:
 // log(1 + N/df). Unknown terms get the maximum IDF log(1+N).
 func (c *Corpus) IDF(t string) float64 {

@@ -39,8 +39,8 @@ const (
 	// mutation is lost on power failure. The default.
 	SyncAlways FsyncPolicy = iota
 	// SyncInterval leaves syncing to the Manager.Run flush ticker (or
-	// explicit Sync calls): a crash loses at most FsyncInterval worth of
-	// appends, but the append path never blocks on the disk.
+	// explicit Sync calls): a crash loses at most DefaultFsyncInterval
+	// worth of appends, but the append path never blocks on the disk.
 	SyncInterval
 	// SyncNone never fsyncs the log (snapshots and the manifest are
 	// still synced): durability only as good as the page cache.
@@ -60,7 +60,8 @@ func (p FsyncPolicy) String() string {
 	}
 }
 
-// Defaults for Options zero values.
+// DefaultMaxSegmentBytes is what a zero Options.MaxSegmentBytes means;
+// DefaultFsyncInterval is Run's flush period under SyncInterval.
 const (
 	DefaultMaxSegmentBytes = 4 << 20
 	DefaultFsyncInterval   = 100 * time.Millisecond
@@ -72,9 +73,6 @@ const (
 type Options struct {
 	// Fsync is the log append sync policy.
 	Fsync FsyncPolicy
-	// FsyncInterval is the Run flush period under SyncInterval.
-	// 0 means DefaultFsyncInterval.
-	FsyncInterval time.Duration
 	// MaxSegmentBytes rotates the active log segment when it grows past
 	// this size. 0 means DefaultMaxSegmentBytes.
 	MaxSegmentBytes int64
@@ -90,9 +88,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxSegmentBytes <= 0 {
 		o.MaxSegmentBytes = DefaultMaxSegmentBytes
-	}
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = DefaultFsyncInterval
 	}
 	return o
 }

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -10,6 +11,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"prodsynth/internal/catalog"
 )
@@ -125,6 +127,40 @@ func TestOpenAppendReopen(t *testing.T) {
 	}
 	if s.Recovery.SnapshotEpoch != 0 || s.Recovery.SnapshotProducts != 0 {
 		t.Errorf("unexpected snapshot recovery: %+v", s.Recovery)
+	}
+}
+
+// TestRunCompactsDeepLogWithSnapshotInterval pins Run's heartbeat: a
+// log past CompactRecords is compacted within a few seconds even when
+// the timed compaction is an hour away.
+func TestRunCompactsDeepLogWithSnapshotInterval(t *testing.T) {
+	m, err := Open(t.TempDir(), Options{SnapshotInterval: time.Hour, CompactRecords: 5})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer m.Close()
+	seedStore(t, m.Store(), 20) // 22 records
+
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		m.Run(ctx)
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+
+	deadline := time.Now().Add(5 * time.Second)
+	for m.Stats().Compactions == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("no compaction within 5s of a log at depth %d (CompactRecords 5)", m.Stats().LogDepthRecords)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	if d := m.Stats().LogDepthRecords; d != 0 {
+		t.Errorf("log depth after compaction = %d, want 0", d)
 	}
 }
 

@@ -278,18 +278,21 @@ func (m *Manager) ImportSnapshot(snap catalog.Snapshot) error {
 }
 
 // Run services the manager's timers until ctx is done: the fsync flush
-// ticker (under SyncInterval), timed compaction (SnapshotInterval), and
-// depth-triggered compaction (CompactRecords, checked on whichever
-// ticker fires). Compaction failures are retried on the next tick; the
-// first error is latched into the log's error counters for Stats.
+// ticker (every DefaultFsyncInterval under SyncInterval), timed
+// compaction (SnapshotInterval), and depth-triggered compaction
+// (CompactRecords, checked on the flush ticker or, when none runs, on a
+// one-second heartbeat). Compaction failures are retried on the next
+// tick; the first error is latched into the log's error counters for
+// Stats.
 func (m *Manager) Run(ctx context.Context) {
 	flushEvery := time.Duration(0)
 	if m.opts.Fsync == SyncInterval {
-		flushEvery = m.opts.FsyncInterval
+		flushEvery = DefaultFsyncInterval
 	}
-	// Depth-triggered compaction needs a heartbeat even when neither
-	// timer is configured.
-	if flushEvery == 0 && m.opts.SnapshotInterval == 0 && m.opts.CompactRecords > 0 {
+	// Depth-triggered compaction needs a heartbeat whenever no flush
+	// ticker runs: the SnapshotInterval ticker alone would let the log
+	// grow past CompactRecords until its next tick.
+	if flushEvery == 0 && m.opts.CompactRecords > 0 {
 		flushEvery = time.Second
 	}
 	var flushC, snapC <-chan time.Time

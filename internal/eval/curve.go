@@ -104,8 +104,9 @@ func filterAndRank(scored []correspond.Scored, opts CurveOptions) []correspond.S
 }
 
 // MaxCoverageAtPrecision scans the full ranking and returns the largest k
-// such that the precision of the top k is at least p — the exact version of
-// CoverageAtPrecision, independent of curve-point granularity.
+// such that the precision of the top k is at least p, independent of
+// curve-point granularity — how the paper phrases comparisons like "we
+// obtain 20K correspondences with 0.87 precision".
 func MaxCoverageAtPrecision(scored []correspond.Scored, truth TruthFunc, opts CurveOptions, p float64) int {
 	correct, best := 0, 0
 	for k, sc := range filterAndRank(scored, opts) {
@@ -117,32 +118,6 @@ func MaxCoverageAtPrecision(scored []correspond.Scored, truth TruthFunc, opts Cu
 		}
 	}
 	return best
-}
-
-// CoverageAtPrecision returns the largest coverage whose precision is at
-// least p (0 if never reached) — how the paper phrases comparisons like
-// "we obtain 20K correspondences with 0.87 precision".
-func CoverageAtPrecision(pts []Point, p float64) int {
-	best := 0
-	for _, pt := range pts {
-		if pt.Precision >= p && pt.Coverage > best {
-			best = pt.Coverage
-		}
-	}
-	return best
-}
-
-// RelativeRecall computes recall of curve A relative to curve B at a common
-// precision level per Appendix B: recall_A/recall_B = coverage_A/coverage_B
-// (both multiplied by the same precision and divided by the same ground
-// truth size). Returns 0 when B never reaches the precision.
-func RelativeRecall(a, b []Point, precision float64) float64 {
-	ca := CoverageAtPrecision(a, precision)
-	cb := CoverageAtPrecision(b, precision)
-	if cb == 0 {
-		return 0
-	}
-	return float64(ca) / float64(cb)
 }
 
 // Series is a named curve, for reports.

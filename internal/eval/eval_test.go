@@ -87,31 +87,6 @@ func TestPrecisionAtCoverageEmpty(t *testing.T) {
 	}
 }
 
-func TestCoverageAtPrecision(t *testing.T) {
-	pts := []Point{
-		{Coverage: 10, Precision: 0.95},
-		{Coverage: 20, Precision: 0.90},
-		{Coverage: 30, Precision: 0.70},
-	}
-	if got := CoverageAtPrecision(pts, 0.9); got != 20 {
-		t.Errorf("got %d", got)
-	}
-	if got := CoverageAtPrecision(pts, 0.99); got != 0 {
-		t.Errorf("got %d", got)
-	}
-}
-
-func TestRelativeRecall(t *testing.T) {
-	a := []Point{{Coverage: 20, Precision: 0.9}}
-	b := []Point{{Coverage: 10, Precision: 0.9}}
-	if got := RelativeRecall(a, b, 0.9); got != 2 {
-		t.Errorf("got %g", got)
-	}
-	if got := RelativeRecall(a, []Point{{Coverage: 5, Precision: 0.5}}, 0.9); got != 0 {
-		t.Errorf("unreachable precision should be 0, got %g", got)
-	}
-}
-
 func TestWriteCurves(t *testing.T) {
 	var buf bytes.Buffer
 	err := WriteCurves(&buf, []Series{{

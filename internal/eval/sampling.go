@@ -13,8 +13,7 @@ import (
 // 400 products / 1,447 attribute pairs and reported interval estimates at
 // 95% confidence (§5.1, citing Mendenhall). This file reproduces that
 // protocol so the repository can report results both ways: exact (the
-// generator knows the truth) and sampled (the paper's methodology),
-// including the sample size the paper derives.
+// generator knows the truth) and sampled (the paper's methodology).
 
 // Interval is an estimate with a symmetric confidence interval.
 type Interval struct {
@@ -40,11 +39,6 @@ func (iv Interval) High() float64 {
 	return 1
 }
 
-// Contains reports whether the interval covers p.
-func (iv Interval) Contains(p float64) bool {
-	return p >= iv.Low() && p <= iv.High()
-}
-
 // zFor maps a confidence level to the normal quantile. Only the levels
 // used in practice are tabulated; unknown levels fall back to 95%.
 func zFor(confidence float64) float64 {
@@ -60,15 +54,6 @@ func zFor(confidence float64) float64 {
 	default:
 		return 1.96
 	}
-}
-
-// SampleSize returns the number of Bernoulli observations needed to
-// estimate a proportion within margin at the given confidence, using the
-// conservative p=0.5 bound: n = z² / (4·margin²). For 95% confidence and a
-// 5% margin this yields the 384 the paper samples per configuration.
-func SampleSize(confidence, margin float64) int {
-	z := zFor(confidence)
-	return int(math.Ceil(z * z / (4 * margin * margin)))
 }
 
 // ProportionInterval computes the normal-approximation interval for

@@ -5,20 +5,6 @@ import (
 	"testing"
 )
 
-func TestSampleSizePaperValue(t *testing.T) {
-	// §5.1/§5.2: 384 samples give a 95% confidence level (5% margin).
-	if got := SampleSize(0.95, 0.05); got != 385 && got != 384 {
-		t.Errorf("SampleSize(0.95, 0.05) = %d, want ~384", got)
-	}
-	// Tighter margins need more samples.
-	if SampleSize(0.95, 0.01) <= SampleSize(0.95, 0.05) {
-		t.Error("tighter margin should need more samples")
-	}
-	if SampleSize(0.99, 0.05) <= SampleSize(0.90, 0.05) {
-		t.Error("higher confidence should need more samples")
-	}
-}
-
 func TestProportionInterval(t *testing.T) {
 	iv := ProportionInterval(92, 100, 0.95)
 	if math.Abs(iv.Estimate-0.92) > 1e-12 {
@@ -27,7 +13,7 @@ func TestProportionInterval(t *testing.T) {
 	if iv.Margin <= 0 || iv.Margin > 0.1 {
 		t.Errorf("margin = %g", iv.Margin)
 	}
-	if !iv.Contains(0.92) {
+	if iv.Low() > 0.92 || iv.High() < 0.92 {
 		t.Error("interval must contain its estimate")
 	}
 	if iv.High() > 1 || iv.Low() < 0 {
@@ -64,7 +50,7 @@ func TestGradeSynthesisSampled(t *testing.T) {
 	if sampled.SampledProducts != len(products)/2 {
 		t.Errorf("sampled products = %d", sampled.SampledProducts)
 	}
-	if !sampled.AttributePrec.Contains(exact.AttributePrecision()) {
+	if ex := exact.AttributePrecision(); ex < sampled.AttributePrec.Low() || ex > sampled.AttributePrec.High() {
 		t.Logf("note: 95%% interval [%.3f, %.3f] missed exact %.3f (can happen 1 in 20)",
 			sampled.AttributePrec.Low(), sampled.AttributePrec.High(), exact.AttributePrecision())
 	}

@@ -99,16 +99,6 @@ type File struct {
 	allows []allow
 }
 
-// ImportsPath reports whether the file imports path (under any name).
-func (f *File) ImportsPath(path string) bool {
-	for _, p := range f.Imports {
-		if p == path {
-			return true
-		}
-	}
-	return false
-}
-
 // PkgSel returns the selector name if e is a call-ready selector
 // `<ident>.<Sel>` whose ident is f's local name for the import path, e.g.
 // PkgSel(e, "time") returning "Now" for `time.Now`. Empty when not.

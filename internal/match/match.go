@@ -14,7 +14,6 @@
 package match
 
 import (
-	"sort"
 	"sync"
 
 	"prodsynth/internal/catalog"
@@ -34,18 +33,14 @@ type Match struct {
 
 // MatchSet is an indexed collection of offer-product matches.
 type MatchSet struct {
-	matches   []Match
-	byOffer   map[string]int
-	byProduct map[string][]int
+	matches []Match
+	byOffer map[string]int
 }
 
 // NewMatchSet indexes the given matches. Later matches for an offer already
 // matched are dropped (an offer matches at most one product, §2).
 func NewMatchSet(matches []Match) *MatchSet {
-	ms := &MatchSet{
-		byOffer:   make(map[string]int),
-		byProduct: make(map[string][]int),
-	}
+	ms := &MatchSet{byOffer: make(map[string]int)}
 	for _, m := range matches {
 		ms.add(m)
 	}
@@ -56,10 +51,8 @@ func (ms *MatchSet) add(m Match) {
 	if _, dup := ms.byOffer[m.OfferID]; dup {
 		return
 	}
-	idx := len(ms.matches)
+	ms.byOffer[m.OfferID] = len(ms.matches)
 	ms.matches = append(ms.matches, m)
-	ms.byOffer[m.OfferID] = idx
-	ms.byProduct[m.ProductID] = append(ms.byProduct[m.ProductID], idx)
 }
 
 // Len returns the number of matches.
@@ -77,17 +70,6 @@ func (ms *MatchSet) ProductFor(offerID string) (Match, bool) {
 	return ms.matches[i], true
 }
 
-// OffersFor returns the offer IDs matched to a product, sorted.
-func (ms *MatchSet) OffersFor(productID string) []string {
-	idx := ms.byProduct[productID]
-	out := make([]string, len(idx))
-	for j, i := range idx {
-		out[j] = ms.matches[i].OfferID
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Matcher finds historical offer-to-product matches.
 //
 // Per-category matching state (the inverted TitleIndex) comes from a
@@ -96,11 +78,6 @@ func (ms *MatchSet) OffersFor(productID string) []string {
 // catalog growth with incremental posting-list updates instead of
 // rebuilds.
 type Matcher struct {
-	// TitleThreshold is the minimum token-overlap score for a title match
-	// (default 0.6). Identifier matches are always accepted.
-	TitleThreshold float64
-	// DisableTitleMatching restricts matching to universal identifiers.
-	DisableTitleMatching bool
 	// Workers is Run's parallelism (default: 4). A Bound matches one
 	// offer on the caller's goroutine.
 	Workers int
@@ -115,6 +92,10 @@ func (m Matcher) registry() *Registry {
 	}
 	return DefaultRegistry
 }
+
+// titleThreshold is the minimum IDF-weighted containment score for a
+// title match. Identifier matches are always accepted.
+const titleThreshold = 0.6
 
 // Run matches every offer against the catalog and returns the match set:
 // one Bound per call, Match per offer, in offer order. Output is
@@ -175,8 +156,8 @@ func (m Matcher) Bind(store *catalog.Store) *Bound {
 }
 
 // Match matches one offer against the catalog: by universal identifier
-// (UPC, then MPN), else by title above TitleThreshold. Offers match only
-// within their assigned category.
+// (UPC, then MPN), else by title at or above titleThreshold. Offers match
+// only within their assigned category.
 func (b *Bound) Match(o offer.Offer) (Match, bool) {
 	// 1. Identifier match: UPC first, then MPN, looked up in the key index.
 	for _, keyAttr := range []string{catalog.AttrUPC, catalog.AttrMPN} {
@@ -186,18 +167,11 @@ func (b *Bound) Match(o offer.Offer) (Match, bool) {
 			}
 		}
 	}
-	if b.m.DisableTitleMatching {
-		return Match{}, false
-	}
 
 	// 2. Title match: IDF-weighted containment via the shared inverted
 	// index.
-	threshold := b.m.TitleThreshold
-	if threshold == 0 {
-		threshold = 0.6
-	}
 	pid, score := b.titleIndex(o.CategoryID).Match(o.Title)
-	if pid != "" && score >= threshold {
+	if pid != "" && score >= titleThreshold {
 		return Match{OfferID: o.ID, ProductID: pid, Source: "title", Score: score}, true
 	}
 	return Match{}, false

@@ -65,12 +65,13 @@ func TestMatcherUPC(t *testing.T) {
 func TestMatcherUPCWrongCategoryRejected(t *testing.T) {
 	st := testStore(t)
 	// Offer categorized as camera, but UPC belongs to a hard drive:
-	// identifier matches must stay within the offer's category.
+	// identifier matches must stay within the offer's category. The
+	// offer has no title, so only its identifier could match it.
 	offers := offer.NewSet([]offer.Offer{
-		{ID: "o1", Merchant: "m", CategoryID: "cam", Title: "zzz qqq",
+		{ID: "o1", Merchant: "m", CategoryID: "cam",
 			Spec: catalog.Spec{{Name: catalog.AttrUPC, Value: "0001"}}},
 	})
-	ms := Matcher{DisableTitleMatching: true}.Run(st, offers)
+	ms := Matcher{}.Run(st, offers)
 	if _, ok := ms.ProductFor("o1"); ok {
 		t.Error("cross-category UPC match should be rejected")
 	}
@@ -94,18 +95,6 @@ func TestMatcherTitle(t *testing.T) {
 	}
 }
 
-func TestMatcherDisableTitle(t *testing.T) {
-	st := testStore(t)
-	offers := offer.NewSet([]offer.Offer{
-		{ID: "o1", Merchant: "m", CategoryID: "hd",
-			Title: "Seagate Barracuda 7200.10 HDD"},
-	})
-	ms := Matcher{DisableTitleMatching: true}.Run(st, offers)
-	if ms.Len() != 0 {
-		t.Errorf("Len = %d, want 0", ms.Len())
-	}
-}
-
 func TestMatchSetIndexes(t *testing.T) {
 	ms := NewMatchSet([]Match{
 		{OfferID: "o1", ProductID: "p1"},
@@ -116,15 +105,12 @@ func TestMatchSetIndexes(t *testing.T) {
 	if ms.Len() != 3 {
 		t.Errorf("Len = %d", ms.Len())
 	}
-	if got := ms.OffersFor("p1"); len(got) != 2 || got[0] != "o1" || got[1] != "o2" {
-		t.Errorf("OffersFor(p1) = %v", got)
-	}
 	m, ok := ms.ProductFor("o1")
 	if !ok || m.ProductID != "p1" {
 		t.Errorf("ProductFor(o1) = %+v (duplicate should have been dropped)", m)
 	}
-	if got := ms.OffersFor("missing"); len(got) != 0 {
-		t.Errorf("OffersFor(missing) = %v", got)
+	if _, ok := ms.ProductFor("missing"); ok {
+		t.Error("ProductFor(missing) found a match")
 	}
 }
 

@@ -57,13 +57,12 @@ func (k SchemaKey) String() string {
 }
 
 // Set is an in-memory offer collection with the groupings the offline
-// learning phase iterates over: by (merchant, category), by category, and
-// by merchant. It is immutable after construction via NewSet.
+// learning phase iterates over: by (merchant, category) and by category.
+// It is immutable after construction via NewSet.
 type Set struct {
 	offers     []Offer
 	byMC       map[SchemaKey][]int
 	byCategory map[string][]int
-	byMerchant map[string][]int
 }
 
 // NewSet indexes the given offers. The slice is not copied; callers must not
@@ -73,13 +72,11 @@ func NewSet(offers []Offer) *Set {
 		offers:     offers,
 		byMC:       make(map[SchemaKey][]int),
 		byCategory: make(map[string][]int),
-		byMerchant: make(map[string][]int),
 	}
 	for i, o := range offers {
 		k := SchemaKey{Merchant: o.Merchant, CategoryID: o.CategoryID}
 		s.byMC[k] = append(s.byMC[k], i)
 		s.byCategory[o.CategoryID] = append(s.byCategory[o.CategoryID], i)
-		s.byMerchant[o.Merchant] = append(s.byMerchant[o.Merchant], i)
 	}
 	return s
 }
@@ -91,22 +88,22 @@ func (s *Set) Len() int { return len(s.offers) }
 // not mutate.
 func (s *Set) All() []Offer { return s.offers }
 
-// At returns the offer at index i.
-func (s *Set) At(i int) Offer { return s.offers[i] }
-
-// ByMerchantCategory returns the offers of one (merchant, category) pair.
-func (s *Set) ByMerchantCategory(k SchemaKey) []Offer {
-	return s.gather(s.byMC[k])
-}
-
 // ByCategory returns the offers of one category across all merchants.
 func (s *Set) ByCategory(categoryID string) []Offer {
 	return s.gather(s.byCategory[categoryID])
 }
 
-// ByMerchant returns the offers of one merchant across all categories.
+// ByMerchant returns the offers of one merchant across all categories, in
+// input order. It scans the set: no pipeline stage groups by merchant
+// alone.
 func (s *Set) ByMerchant(merchant string) []Offer {
-	return s.gather(s.byMerchant[merchant])
+	var out []Offer
+	for _, o := range s.offers {
+		if o.Merchant == merchant {
+			out = append(out, o)
+		}
+	}
+	return out
 }
 
 // SchemaKeys returns every (merchant, category) pair present, sorted.
@@ -129,16 +126,6 @@ func (s *Set) Categories() []string {
 	out := make([]string, 0, len(s.byCategory))
 	for c := range s.byCategory {
 		out = append(out, c)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Merchants returns the distinct merchants present, sorted.
-func (s *Set) Merchants() []string {
-	out := make([]string, 0, len(s.byMerchant))
-	for m := range s.byMerchant {
-		out = append(out, m)
 	}
 	sort.Strings(out)
 	return out

@@ -11,8 +11,9 @@ import (
 // response as NDJSON: one JSON object per line, flushed after every line
 // so clients observe wave results as they complete, not when the stream
 // ends. observe is called for each result before it is written (the
-// server folds successful results into its metrics there).
-func writeNDJSON(w http.ResponseWriter, out <-chan prodsynth.StreamResult, observe func(prodsynth.StreamResult)) error {
+// server folds successful results into its metrics there). final reports
+// whether the stream's final line was written.
+func writeNDJSON(w http.ResponseWriter, out <-chan prodsynth.StreamResult, observe func(prodsynth.StreamResult)) (final bool, err error) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
@@ -25,13 +26,14 @@ func writeNDJSON(w http.ResponseWriter, out <-chan prodsynth.StreamResult, obser
 			// forwarding goroutine can exit, then report.
 			for range out {
 			}
-			return err
+			return false, err
 		}
+		final = res.Final
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	return nil
+	return final, nil
 }
 
 // writeNDJSONError appends a terminal error line to an NDJSON stream that

@@ -348,6 +348,25 @@ func (s *Server) observeResult(res *prodsynth.Result) {
 	s.observeFetch(res.Fetch)
 }
 
+// observeStream folds one stream result into the same counters. Offers
+// and fetches count from wave results only, since the final result sums
+// them again. A product counts once, when it is final: at its seal event
+// with cluster memory on, in its wave's result with memory off.
+func (s *Server) observeStream(res *prodsynth.StreamResult, memoryOff bool) {
+	if res.Err != nil {
+		return
+	}
+	products := len(res.Sealed)
+	if !res.Final {
+		s.offers.Add(uint64(res.Offers))
+		s.observeFetch(res.Fetch)
+		if memoryOff {
+			products = len(res.Products)
+		}
+	}
+	s.products.Add(uint64(products))
+}
+
 func (s *Server) observeFetch(f prodsynth.FetchReport) {
 	s.fetchOps.Add(uint64(f.Attempted))
 	s.fetchAtt.Add(uint64(f.Attempts))
@@ -514,17 +533,16 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	if err := writeNDJSON(w, out, func(res prodsynth.StreamResult) {
-		if res.Err == nil {
-			s.observeResult(&res.Result)
-		}
-	}); err != nil {
+	final, err := writeNDJSON(w, out, func(res prodsynth.StreamResult) {
+		s.observeStream(&res, req.DisableClusterMemory)
+	})
+	if err != nil {
 		s.opts.Logger.Printf("synthd: stream write: %v", err)
 	}
-	// A cancelled context means the stream closed without its final
-	// result; the NDJSON framing ends with an error line so the client
-	// can tell truncation from completion.
-	if ctx.Err() != nil {
+	// A stream cancelled before its final line was written ends with an
+	// error line, so the client can tell truncation from completion. A
+	// deadline that fires after the final line truncates nothing.
+	if !final && ctx.Err() != nil {
 		writeNDJSONError(w, ctx.Err())
 	}
 }

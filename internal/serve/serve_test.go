@@ -244,6 +244,124 @@ func TestStreamNDJSONFraming(t *testing.T) {
 	}
 }
 
+// streamRequest cuts a marketplace's incoming offers into n waves of a
+// /v1/synthesize/stream body.
+func streamRequest(ds *prodsynth.Marketplace, n int) serve.StreamRequest {
+	req := serve.StreamRequest{Pages: serve.WirePages(ds.Pages)}
+	for i := 0; i < n; i++ {
+		lo, hi := i*len(ds.IncomingOffers)/n, (i+1)*len(ds.IncomingOffers)/n
+		req.Waves = append(req.Waves, serve.WireOffers(ds.IncomingOffers[lo:hi]))
+	}
+	return req
+}
+
+// TestStreamMetricsCountOnce: a stream request adds each offer and each
+// fetch to /metrics once, from its wave's line and not again from the
+// final line that sums them, and each product once, when it is final:
+// at its seal event with cluster memory on, in its wave's line with
+// memory off.
+func TestStreamMetricsCountOnce(t *testing.T) {
+	ds, sys := learnedSystem(t)
+	oneShot, err := sys.SynthesizeContext(context.Background(), ds.IncomingOffers, prodsynth.MapFetcher(ds.Pages))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, memoryOff := range []bool{false, true} {
+		t.Run(fmt.Sprintf("disable_cluster_memory=%v", memoryOff), func(t *testing.T) {
+			ts := httptest.NewServer(serve.New(sys, serve.Options{}))
+			defer ts.Close()
+			req := streamRequest(ds, 3)
+			req.DisableClusterMemory = memoryOff
+			resp, body := post(t, ts.Client(), ts.URL+"/v1/synthesize/stream", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status = %d, body %s", resp.StatusCode, body)
+			}
+
+			var fetches, products int
+			lines := strings.Split(strings.TrimSuffix(string(body), "\n"), "\n")
+			for i, line := range lines {
+				var ev serve.StreamEventJSON
+				if err := json.Unmarshal([]byte(line), &ev); err != nil {
+					t.Fatal(err)
+				}
+				switch {
+				case ev.Type == "final" && i == len(lines)-1:
+					products += len(ev.Sealed)
+				case ev.Type == "wave":
+					fetches += ev.Fetch.Attempted
+					if memoryOff {
+						products += len(ev.Products)
+					} else {
+						products += len(ev.Sealed)
+					}
+				default:
+					t.Fatalf("line %d of %d has type %q", i, len(lines), ev.Type)
+				}
+			}
+			if fetches != len(ds.IncomingOffers) {
+				t.Errorf("wave lines report %d fetches for %d offers", fetches, len(ds.IncomingOffers))
+			}
+			// Unbounded cluster memory seals every product once, at the
+			// close: the one-shot run's products.
+			if !memoryOff && products != len(oneShot.Products) {
+				t.Errorf("stream sealed %d products, one-shot synthesized %d", products, len(oneShot.Products))
+			}
+
+			m := scrapeMetrics(t, ts)
+			for _, want := range []string{
+				fmt.Sprintf("synthd_offers_total %d", len(ds.IncomingOffers)),
+				fmt.Sprintf("synthd_fetch_operations_total %d", fetches),
+				fmt.Sprintf("synthd_products_total %d", products),
+			} {
+				if !strings.Contains(m, want+"\n") {
+					t.Errorf("metrics missing %q", want)
+				}
+			}
+		})
+	}
+}
+
+// slowFinalFlush is a ResponseWriter whose Flush, once the final line has
+// been written, sleeps past the request's deadline.
+type slowFinalFlush struct {
+	*httptest.ResponseRecorder
+	sleep time.Duration
+}
+
+func (w *slowFinalFlush) Flush() {
+	w.ResponseRecorder.Flush()
+	if bytes.Contains(w.Body.Bytes(), []byte(`"type":"final"`)) {
+		time.Sleep(w.sleep)
+	}
+}
+
+// TestStreamDeadlineAfterFinal: a timeout_ms deadline that fires after
+// the final line was written does not mark the complete stream as
+// truncated with a trailing error line.
+func TestStreamDeadlineAfterFinal(t *testing.T) {
+	ds, sys := learnedSystem(t)
+	req := streamRequest(ds, 3)
+	req.TimeoutMillis = 1000
+	w := &slowFinalFlush{ResponseRecorder: httptest.NewRecorder(), sleep: 1200 * time.Millisecond}
+	r := httptest.NewRequest(http.MethodPost, "/v1/synthesize/stream", bytes.NewReader(encodeJSON(t, req)))
+	serve.New(sys, serve.Options{}).ServeHTTP(w, r)
+
+	if w.Code != http.StatusOK {
+		t.Fatalf("status = %d, body %s", w.Code, w.Body)
+	}
+	lines := strings.Split(strings.TrimSuffix(w.Body.String(), "\n"), "\n")
+	var last serve.StreamEventJSON
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
+		t.Fatal(err)
+	}
+	if last.Type != "final" {
+		t.Fatalf("last of %d lines has type %q (error %q), want final", len(lines), last.Type, last.Error)
+	}
+	if len(lines) != len(req.Waves)+1 {
+		t.Errorf("stream framed %d lines, want %d waves + 1 final", len(lines), len(req.Waves))
+	}
+}
+
 // TestAdmissionShedding holds one request in flight at MaxInFlight=1 and
 // asserts the next is shed — 429, Retry-After, JSON error body — while
 // operability endpoints keep answering; once the slot frees, requests are

@@ -112,7 +112,8 @@ type SealedJSON struct {
 // StreamEventJSON is one NDJSON line of POST /v1/synthesize/stream:
 // type "wave" for each input wave (in order), then exactly one type
 // "final" carrying the merged stream view. A failed wave reports its
-// error in Error with the counters zeroed; the stream continues.
+// error in Error with the counters zeroed; the stream continues. A stream
+// cut off before its final line ends with one type "error" line instead.
 type StreamEventJSON struct {
 	Type             string          `json:"type"`
 	Wave             int             `json:"wave"`

@@ -119,12 +119,6 @@ func (b *Bag) AddValue(v string) {
 // Count returns the multiplicity of tok.
 func (b *Bag) Count(tok string) int { return b.counts[tok] }
 
-// Total returns the total number of token occurrences.
-func (b *Bag) Total() int { return b.total }
-
-// Distinct returns the number of distinct tokens.
-func (b *Bag) Distinct() int { return len(b.counts) }
-
 // Tokens returns the distinct tokens in unspecified order.
 func (b *Bag) Tokens() []string {
 	out := make([]string, 0, len(b.counts))
@@ -139,35 +133,6 @@ func (b *Bag) SortedTokens() []string {
 	out := b.Tokens()
 	sort.Strings(out)
 	return out
-}
-
-// Merge adds all of other's counts into b.
-func (b *Bag) Merge(other *Bag) {
-	if other == nil {
-		return
-	}
-	for tok, n := range other.counts {
-		b.counts[tok] += n
-		b.total += n
-	}
-}
-
-// Clone returns a deep copy of the bag.
-func (b *Bag) Clone() *Bag {
-	c := &Bag{counts: make(map[string]int, len(b.counts)), total: b.total}
-	for tok, n := range b.counts {
-		c.counts[tok] = n
-	}
-	return c
-}
-
-// Jaccard returns the Jaccard coefficient of the two bags' distinct token
-// sets; see Distribution.Jaccard. A nil bag has similarity 0.
-func (b *Bag) Jaccard(other *Bag) float64 {
-	if b == nil || other == nil {
-		return 0
-	}
-	return b.Distribution().Jaccard(other.Distribution())
 }
 
 // Distribution is a probability distribution over tokens:
@@ -238,14 +203,4 @@ func (d Distribution) Jaccard(other Distribution) float64 {
 		}
 	}
 	return float64(inter) / float64(len(a)+len(b)-inter)
-}
-
-// Mass returns the total probability mass (1 for a valid non-empty
-// distribution, 0 for an empty one). Exposed for invariant testing.
-func (d Distribution) Mass() float64 {
-	var sum float64
-	for _, p := range d.probs {
-		sum += p
-	}
-	return sum
 }

@@ -83,10 +83,10 @@ func WithStrictPages(strict bool) Option { return func(c *Config) { c.StrictPage
 // Config.Fetch and DefaultFetchPolicy.
 func WithFetchPolicy(p FetchPolicy) Option { return func(c *Config) { c.Fetch = p } }
 
-// WithMatchRegistry gives the pipeline a private match-index cache with
-// its own memory bound instead of the process-wide default.
+// WithMatchRegistry sets Config.Registry: a private match-index cache
+// with its own memory bound instead of the process-wide default.
 func WithMatchRegistry(reg *MatchRegistry) Option {
-	return func(c *Config) { c.Matcher.Registry = reg }
+	return func(c *Config) { c.Registry = reg }
 }
 
 func buildConfig(opts []Option) Config {
