@@ -115,7 +115,10 @@
 // write-ahead log, every commit (including each product [System.AddToCatalog]
 // adds mid-stream) is logged before the call returns, and reopening the
 // directory recovers a byte-identical store — snapshot load, idempotent
-// log replay, torn-tail truncation — even after SIGKILL mid-write.
+// log replay, torn-tail truncation — after a power cut at any point: the
+// crash tests cut the power in-process at every file operation of a
+// workload, over a model disk that keeps only what was synced. A failed
+// write or fsync loses no record; the log writes it again.
 // [Durable.Run] compacts in the background while serving, and
 // [WithDurability] extends the same data directory to the streaming side:
 // clusters evicted by [StreamOptions.MaxOpenClusters]/MaxIdleWaves spill
@@ -151,8 +154,9 @@
 // machine-checks them — retry backoff and breaker timing in
 // internal/fetch goes through its injectable Clock (clockcheck), exported
 // entry points that block or spawn take a context first and library code
-// never manufactures root contexts (ctxfirst), shard critical sections stay free of channel ops,
-// I/O, and user callbacks (lockscope), Err* sentinels are wrapped with %w
+// never manufactures root contexts (ctxfirst), the catalog store's and the
+// match registry's critical sections stay free of channel ops, I/O, and
+// user callbacks (lockscope), Err* sentinels are wrapped with %w
 // so errors.Is matches through every decoder (errwrapcheck), and raw
 // goroutines have a visible join (spawncheck). A justified exception is
 // allowlisted in the source with `//lint:allow <analyzer> <reason>` — the

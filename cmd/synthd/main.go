@@ -216,7 +216,7 @@ func durableMetrics(ctx context.Context, dur *prodsynth.Durable, reg *serve.Regi
 		compactions = reg.Gauge("synthd_durable_compactions_total", "Compactions completed since boot.")
 		depthRecs   = reg.Gauge("synthd_durable_log_depth_records", "WAL records not yet covered by a snapshot (crash-now replay cost).")
 		depthBytes  = reg.Gauge("synthd_durable_log_depth_bytes", "WAL bytes not yet covered by a snapshot.")
-		appendErrs  = reg.Gauge("synthd_durable_append_errors_total", "WAL append failures (in-memory catalog stays correct; durability of those records is lost).")
+		appendErrs  = reg.Gauge("synthd_durable_append_errors_total", "WAL write, fsync and rotation failures (the in-memory catalog stays correct; the log keeps those records and writes them again).")
 	)
 	st := dur.Stats()
 	recoveryMS.Set(st.Recovery.Duration.Milliseconds())

@@ -26,7 +26,11 @@
 // fully intact. Open replays the tail of the log over the loaded
 // snapshot; replay is idempotent (the catalog's per-category version
 // counters make overlap harmless) and a torn final record in the last
-// segment is truncated rather than treated as corruption.
+// segment is truncated rather than treated as corruption. A failed log
+// write or fsync loses no record: the log keeps every frame it has not
+// synced and writes it again, to a fresh segment after a failed fsync.
+// Every file operation goes through one seam (fileSys); the crash tests
+// back it with a model disk that keeps only what was synced.
 package durable
 
 import "time"
@@ -36,14 +40,15 @@ type FsyncPolicy int
 
 const (
 	// SyncAlways fsyncs after every appended record: no acknowledged
-	// mutation is lost on power failure. The default.
+	// mutation is lost on power failure. The default. A failed write or
+	// fsync is counted in Stats.AppendErrors and retried on the next append.
 	SyncAlways FsyncPolicy = iota
 	// SyncInterval leaves syncing to the Manager.Run flush ticker (or
 	// explicit Sync calls): a crash loses at most DefaultFsyncInterval
 	// worth of appends, but the append path never blocks on the disk.
 	SyncInterval
-	// SyncNone never fsyncs the log (snapshots and the manifest are
-	// still synced): durability only as good as the page cache.
+	// SyncNone fsyncs the log only to seal a segment or on Sync and
+	// Close: durability only as good as the page cache.
 	SyncNone
 )
 
@@ -124,9 +129,10 @@ type Stats struct {
 	// covered by a snapshot — what a crash right now would replay.
 	LogDepthRecords uint64
 	LogDepthBytes   uint64
-	// AppendErrors counts log append failures (the store stays correct
-	// in memory; durability of those records is lost). LastAppendError
-	// is the first such failure's text, for diagnostics.
+	// AppendErrors counts failed log writes, fsyncs and rotations. The
+	// store stays correct in memory, and the log keeps the records it
+	// could not make durable and writes them again with the next append,
+	// Sync or Close. LastAppendError is the first failure's text.
 	AppendErrors    uint64
 	LastAppendError string
 }

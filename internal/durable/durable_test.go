@@ -275,7 +275,7 @@ func TestEightShardDirectoryOpens(t *testing.T) {
 	if files := snapshotFiles(t, dir); len(files) != 1 || filepath.Base(files[0]) != snapName(0, 2) {
 		t.Fatalf("snapshot files after Compact = %v, want only %s", files, snapName(0, 2))
 	}
-	man, ok, err := readManifest(dir)
+	man, ok, err := readManifest(osFS{}, dir)
 	if err != nil || !ok {
 		t.Fatalf("readManifest: %v (found %v)", err, ok)
 	}
@@ -304,7 +304,7 @@ func TestSegmentRotationAndReplay(t *testing.T) {
 	}
 	seedStore(t, m.Store(), 30)
 	m.Close()
-	seqs, err := listSegments(dir)
+	seqs, err := listSegments(osFS{}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +334,7 @@ func TestTornTailIsTruncated(t *testing.T) {
 	m.Close()
 
 	// Tear the last segment by hand: append half of a framed record.
-	seqs, _ := listSegments(dir)
+	seqs, _ := listSegments(osFS{}, dir)
 	last := filepath.Join(dir, segName(seqs[len(seqs)-1]))
 	torn := frameRecord(encodeProduct(99, false, testProduct(99)))
 	f, err := os.OpenFile(last, os.O_APPEND|os.O_WRONLY, 0)
@@ -370,7 +370,7 @@ func TestMidLogCorruptionRejected(t *testing.T) {
 
 	// Flip one payload byte in the middle of the segment: checksum
 	// fails, valid records follow, so this must NOT pass as a torn tail.
-	seqs, _ := listSegments(dir)
+	seqs, _ := listSegments(osFS{}, dir)
 	var path string
 	for _, seq := range seqs {
 		p := filepath.Join(dir, segName(seq))
@@ -461,8 +461,8 @@ func TestCompactDeletesObsoleteFiles(t *testing.T) {
 			t.Errorf("temp file %s left behind", name)
 		}
 	}
-	seqs, _ := listSegments(dir)
-	man, ok, err := readManifest(dir)
+	seqs, _ := listSegments(osFS{}, dir)
+	man, ok, err := readManifest(osFS{}, dir)
 	if err != nil || !ok {
 		t.Fatalf("manifest: %v ok=%v", err, ok)
 	}

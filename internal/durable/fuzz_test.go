@@ -48,7 +48,7 @@ func FuzzReplayLog(f *testing.F) {
 			t.Fatal(err)
 		}
 		store := catalog.NewStore()
-		res, err := replaySegments(store, dir, []uint64{1})
+		res, err := replaySegments(osFS{}, store, dir, []uint64{1})
 		if err != nil {
 			return
 		}

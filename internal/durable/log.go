@@ -2,7 +2,6 @@ package durable
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -38,8 +37,8 @@ func parseSegName(name string) (uint64, bool) {
 
 // listSegments returns the log segment sequence numbers present in dir,
 // ascending.
-func listSegments(dir string) ([]uint64, error) {
-	ents, err := os.ReadDir(dir)
+func listSegments(fs fileSys, dir string) ([]uint64, error) {
+	ents, err := fs.readDir(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -53,17 +52,6 @@ func listSegments(dir string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// syncDir fsyncs a directory so renames and creations inside it are
-// durable.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	defer d.Close()
-	return d.Sync()
-}
-
 // walLog is the append-only delta log: an open segment file plus the
 // rotation and sync machinery around it. It implements catalog.Observer,
 // so attaching it to a store routes every committed mutation here; the
@@ -71,19 +59,26 @@ func syncDir(dir string) error {
 // order is the commit order, and the log's own mutex guards the segment
 // against the manager's rotation and sync.
 //
-// Observer methods cannot return errors, so append failures (disk full,
-// I/O error) are counted and latched instead: the in-memory store stays
-// correct, Stats surfaces the failure, and the manager keeps trying so a
-// transient error does not permanently stop the log.
+// Observer methods cannot return errors, so a failed write or fsync is
+// counted and latched, and the frames it did not make durable stay
+// pending; the next append, sync or close writes them again, in order,
+// so the log never skips a record the store committed.
 type walLog struct {
 	dir  string
+	fs   fileSys
 	opts Options
-	kp   *killpoint
 
-	mu       sync.Mutex
-	f        *os.File
-	seq      uint64 // active segment
-	segBytes int64
+	mu     sync.Mutex
+	f      file // nil between a failed rotation and its retry
+	seq    uint64
+	closed bool
+	// synced is the active segment's length at its last fsync. pending
+	// holds every frame committed since; its first written bytes follow
+	// synced in the segment. broken marks a segment whose fsync failed.
+	synced  int64
+	pending []byte
+	written int
+	broken  bool
 
 	totalRecords uint64 // appended since Open
 	totalBytes   uint64
@@ -96,33 +91,29 @@ type walLog struct {
 
 // openLog creates the active segment file (always a fresh one — boots
 // and rotations never append to an existing segment).
-func openLog(dir string, seq uint64, opts Options, kp *killpoint) (*walLog, error) {
-	l := &walLog{dir: dir, opts: opts, kp: kp, seq: seq}
-	if err := l.openSegment(seq); err != nil {
-		return nil, err
-	}
-	return l, nil
+func openLog(fs fileSys, dir string, seq uint64, opts Options) (*walLog, error) {
+	l := &walLog{dir: dir, fs: fs, opts: opts}
+	return l, l.openSegment(seq)
 }
 
+// openSegment makes seq the active segment. A failure still spends seq,
+// so a retry never collides with a file the failed attempt left.
 func (l *walLog) openSegment(seq uint64) error {
-	f, err := os.OpenFile(filepath.Join(l.dir, segName(seq)), os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
+	l.seq = seq
+	f, err := l.fs.create(filepath.Join(l.dir, segName(seq)), true)
 	if err != nil {
 		return err
 	}
-	if err := syncDir(l.dir); err != nil {
+	if err := l.fs.syncDir(l.dir); err != nil {
 		f.Close()
 		return err
 	}
-	l.f = f
-	l.seq = seq
-	l.segBytes = 0
+	l.f, l.synced, l.written, l.broken = f, 0, 0, false
 	return nil
 }
 
 // ObserveCategory implements catalog.Observer.
-func (l *walLog) ObserveCategory(c catalog.Category) {
-	l.append(encodeCategory(c))
-}
+func (l *walLog) ObserveCategory(c catalog.Category) { l.append(encodeCategory(c)) }
 
 // ObserveProduct implements catalog.Observer.
 func (l *walLog) ObserveProduct(version uint64, ownsKey bool, p catalog.Product) {
@@ -130,45 +121,63 @@ func (l *walLog) ObserveProduct(version uint64, ownsKey bool, p catalog.Product)
 }
 
 func (l *walLog) append(payload []byte) {
-	buf := frameRecord(payload)
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	if l.closed {
 		l.fail(fmt.Errorf("durable: append to closed log"))
 		return
 	}
-	if l.segBytes > 0 && l.segBytes+int64(len(buf)) > l.opts.MaxSegmentBytes {
+	n := len(l.pending)
+	l.pending = appendFrame(l.pending, payload)
+	l.totalRecords++
+	l.totalBytes += uint64(len(l.pending) - n)
+	if l.writeLocked() == nil && l.opts.Fsync == SyncAlways {
+		l.syncLocked()
+	}
+}
+
+// writeLocked writes the pending frames the active segment lacks,
+// moving to a fresh segment first when the active one is broken, gone,
+// or full. A short write is cut back to the last whole frame.
+func (l *walLog) writeLocked() error {
+	if l.written == len(l.pending) && !l.broken {
+		return nil
+	}
+	size := l.synced + int64(l.written)
+	if l.f == nil || l.broken || (size > 0 && l.synced+int64(len(l.pending)) > l.opts.MaxSegmentBytes) {
 		if err := l.rotateLocked(); err != nil {
 			l.fail(err)
-			return
+			return err
 		}
 	}
-	// Crash injection: a torn tail is the first half of the framed
-	// record reaching the disk before the power cut.
-	if l.kp.hit("append-torn") {
-		_, _ = l.f.Write(buf[:len(buf)/2])
-		_ = l.f.Sync()
-		die()
+	n, err := l.f.Write(l.pending[l.written:])
+	if err == nil {
+		l.written = len(l.pending)
+		return nil
 	}
-	if _, err := l.f.Write(buf); err != nil {
+	l.fail(err)
+	if n > 0 && l.f.Truncate(l.synced+int64(l.written)) != nil {
+		l.broken = true
+	}
+	return err
+}
+
+// syncLocked fsyncs the frames written since the last fsync. A failure
+// breaks the segment: a later fsync of the same file can report success
+// for pages whose write-back failed.
+func (l *walLog) syncLocked() error {
+	if l.f == nil || l.broken || l.written == 0 {
+		return nil
+	}
+	if err := l.f.Sync(); err != nil {
+		l.broken = true
 		l.fail(err)
-		return
+		return err
 	}
-	if l.opts.Fsync == SyncAlways {
-		if err := l.f.Sync(); err != nil {
-			l.fail(err)
-			return
-		}
-	}
-	l.segBytes += int64(len(buf))
-	l.totalRecords++
-	l.totalBytes += uint64(len(buf))
-	if l.kp.hit("append") {
-		// The record above is fully durable; the crash hits after the
-		// commit, so recovery must reproduce it.
-		_ = l.f.Sync()
-		die()
-	}
+	l.synced += int64(l.written)
+	l.pending = append(l.pending[:0], l.pending[l.written:]...)
+	l.written = 0
+	return nil
 }
 
 func (l *walLog) fail(err error) {
@@ -178,23 +187,25 @@ func (l *walLog) fail(err error) {
 	}
 }
 
-// recordError latches an error from outside the append path (flush and
-// compaction failures), where the log lock is not already held.
+// recordError latches an error from outside the append path (compaction
+// failures), where the log lock is not already held.
 func (l *walLog) recordError(err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.fail(err)
 }
 
-// rotateLocked seals the active segment and opens the next one.
+// rotateLocked seals the active segment and opens the next one. A
+// healthy segment is fsynced; a broken one is cut back to its last
+// synced frame, and all of pending goes to the new segment.
 func (l *walLog) rotateLocked() error {
-	if err := l.f.Sync(); err != nil {
-		return err
+	if l.f != nil {
+		if l.syncLocked(); l.broken {
+			_ = l.f.Truncate(l.synced) // best effort: pending holds the cut frames
+		}
+		_ = l.f.Close() // the frames it holds are synced, or still pending
+		l.f = nil
 	}
-	if err := l.f.Close(); err != nil {
-		return err
-	}
-	l.f = nil
 	return l.openSegment(l.seq + 1)
 }
 
@@ -206,9 +217,6 @@ func (l *walLog) rotateLocked() error {
 func (l *walLog) rotate() (retainSeq, markRecords, markBytes uint64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return 0, 0, 0, fmt.Errorf("durable: rotate on closed log")
-	}
 	if err := l.rotateLocked(); err != nil {
 		return 0, 0, 0, err
 	}
@@ -237,27 +245,34 @@ func (l *walLog) errors() (uint64, error) {
 	return l.errCount, l.firstErr
 }
 
-// sync flushes the active segment to disk — the SyncInterval flush path.
+// sync writes the pending frames and fsyncs them — the SyncInterval
+// flush path. A failure is counted in the log's errors.
 func (l *walLog) sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
+	return l.flushLocked()
+}
+
+func (l *walLog) flushLocked() error {
+	if l.closed {
 		return nil
 	}
-	return l.f.Sync()
+	if err := l.writeLocked(); err != nil {
+		return err
+	}
+	return l.syncLocked()
 }
 
 // close syncs and closes the active segment; later appends fail.
 func (l *walLog) close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.f == nil {
-		return nil
+	err := l.flushLocked()
+	if l.f != nil {
+		if cerr := l.f.Close(); err == nil {
+			err = cerr
+		}
 	}
-	err := l.f.Sync()
-	if cerr := l.f.Close(); err == nil {
-		err = cerr
-	}
-	l.f = nil
+	l.f, l.closed = nil, true
 	return err
 }

@@ -1,11 +1,11 @@
 package durable
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -24,7 +24,6 @@ type Manager struct {
 	opts  Options
 	store *catalog.Store
 	log   *walLog
-	kp    *killpoint
 
 	mu          sync.Mutex // serializes Compact, Close
 	epoch       uint64
@@ -43,18 +42,22 @@ type Manager struct {
 // crash left one, then open a fresh active segment and attach the logging
 // observer. After Open returns, every mutation of Store() is logged.
 func Open(dir string, opts Options) (*Manager, error) {
+	return open(osFS{}, dir, opts)
+}
+
+// open is Open over any fileSys.
+func open(fs fileSys, dir string, opts Options) (*Manager, error) {
 	opts = opts.withDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fs.mkdirAll(dir); err != nil {
 		return nil, err
 	}
 	start := time.Now()
-	kp := parseKillpoint()
 
-	man, haveMan, err := readManifest(dir)
+	man, haveMan, err := readManifest(fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	if err := removeOrphans(dir, man); err != nil {
+	if err := removeOrphans(fs, dir, man); err != nil {
 		return nil, err
 	}
 
@@ -63,7 +66,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 	if haveMan {
 		snaps := make([]catalog.Snapshot, man.Shards)
 		for i := range snaps {
-			snaps[i], err = readSnapshotFile(filepath.Join(dir, snapName(i, man.Epoch)))
+			snaps[i], err = readSnapshotFile(fs, filepath.Join(dir, snapName(i, man.Epoch)))
 			if err != nil {
 				return nil, fmt.Errorf("durable: epoch %d shard %d: %w", man.Epoch, i, err)
 			}
@@ -79,11 +82,11 @@ func Open(dir string, opts Options) (*Manager, error) {
 		store = catalog.NewStore()
 	}
 
-	seqs, err := listSegments(dir)
+	seqs, err := listSegments(fs, dir)
 	if err != nil {
 		return nil, err
 	}
-	replay, err := replaySegments(store, dir, seqs)
+	replay, err := replaySegments(fs, store, dir, seqs)
 	if err != nil {
 		return nil, err
 	}
@@ -100,7 +103,7 @@ func Open(dir string, opts Options) (*Manager, error) {
 	if n := len(seqs); n > 0 && seqs[n-1] >= nextSeq {
 		nextSeq = seqs[n-1] + 1
 	}
-	log, err := openLog(dir, nextSeq, opts, kp)
+	log, err := openLog(fs, dir, nextSeq, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +115,6 @@ func Open(dir string, opts Options) (*Manager, error) {
 		opts:     opts,
 		store:    store,
 		log:      log,
-		kp:       kp,
 		epoch:    man.Epoch,
 		shards:   man.Shards,
 		firstSeq: man.FirstSeq,
@@ -125,8 +127,8 @@ func Open(dir string, opts Options) (*Manager, error) {
 // not name (either the next epoch that never published, or the previous
 // one that was not yet deleted), and log segments below the manifest's
 // first uncovered sequence.
-func removeOrphans(dir string, man manifest) error {
-	ents, err := os.ReadDir(dir)
+func removeOrphans(fs fileSys, dir string, man manifest) error {
+	ents, err := fs.readDir(dir)
 	if err != nil {
 		return err
 	}
@@ -148,7 +150,7 @@ func removeOrphans(dir string, man manifest) error {
 			}
 		}
 		if drop {
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			if err := fs.remove(filepath.Join(dir, name)); err != nil {
 				return err
 			}
 		}
@@ -157,13 +159,12 @@ func removeOrphans(dir string, man manifest) error {
 }
 
 // readSnapshotFile loads one snapshot file.
-func readSnapshotFile(path string) (catalog.Snapshot, error) {
-	f, err := os.Open(path)
+func readSnapshotFile(fs fileSys, path string) (catalog.Snapshot, error) {
+	data, err := fs.readFile(path)
 	if err != nil {
 		return catalog.Snapshot{}, err
 	}
-	defer f.Close()
-	tr := snapfmt.TrackOffset(f)
+	tr := snapfmt.TrackOffset(bytes.NewReader(data))
 	snap, err := catalog.DecodeSnapshot(tr)
 	if err != nil {
 		return catalog.Snapshot{}, err
@@ -201,27 +202,25 @@ func (m *Manager) Compact() error {
 	}
 	epoch := m.epoch + 1
 	snap := m.store.Snapshot()
-	err = writeFileAtomic(m.dir, snapName(0, epoch), func(w io.Writer) error {
+	err = writeFileAtomic(m.log.fs, m.dir, snapName(0, epoch), func(w io.Writer) error {
 		return catalog.EncodeSnapshot(w, snap)
 	})
 	if err != nil {
 		return err
 	}
-	m.kp.maybeKill("compact-snapshots")
-	if err := writeManifest(m.dir, manifest{Epoch: epoch, Shards: 1, FirstSeq: retainSeq}); err != nil {
+	if err := writeManifest(m.log.fs, m.dir, manifest{Epoch: epoch, Shards: 1, FirstSeq: retainSeq}); err != nil {
 		return err
 	}
-	m.kp.maybeKill("compact-manifest")
 	// The new epoch is durable; everything below is garbage collection,
 	// and a crash here just leaves orphans for the next Open.
 	for i := 0; i < int(m.shards); i++ {
-		_ = os.Remove(filepath.Join(m.dir, snapName(i, m.epoch)))
+		_ = m.log.fs.remove(filepath.Join(m.dir, snapName(i, m.epoch)))
 	}
-	seqs, err := listSegments(m.dir)
+	seqs, err := listSegments(m.log.fs, m.dir)
 	if err == nil {
 		for _, seq := range seqs {
 			if seq < retainSeq {
-				_ = os.Remove(filepath.Join(m.dir, segName(seq)))
+				_ = m.log.fs.remove(filepath.Join(m.dir, segName(seq)))
 			}
 		}
 	}
@@ -236,28 +235,27 @@ func (m *Manager) Compact() error {
 // writeFileAtomic writes dir/name through encode without ever exposing
 // a partial file: encode into name.tmp, fsync it, close it, rename it
 // over name, and fsync the directory so the rename itself is durable.
-func writeFileAtomic(dir, name string, encode func(io.Writer) error) error {
+func writeFileAtomic(fs fileSys, dir, name string, encode func(io.Writer) error) error {
 	final := filepath.Join(dir, name)
 	tmp := final + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
+	f, err := fs.create(tmp, false)
 	if err != nil {
 		return err
 	}
-	if err := encode(f); err != nil {
-		f.Close()
+	err = encode(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	if err := fs.rename(tmp, final); err != nil {
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, final); err != nil {
-		return err
-	}
-	return syncDir(dir)
+	return fs.syncDir(dir)
 }
 
 // ImportSnapshot seeds an EMPTY durable store from an external catalog
@@ -277,30 +275,21 @@ func (m *Manager) ImportSnapshot(snap catalog.Snapshot) error {
 	return m.Compact()
 }
 
-// Run services the manager's timers until ctx is done: the fsync flush
-// ticker (every DefaultFsyncInterval under SyncInterval), timed
-// compaction (SnapshotInterval), and depth-triggered compaction
-// (CompactRecords, checked on the flush ticker or, when none runs, on a
-// one-second heartbeat). Compaction failures are retried on the next
-// tick; the first error is latched into the log's error counters for
-// Stats.
+// Run services the manager's timers until ctx is done. One ticker, at
+// DefaultFsyncInterval under SyncInterval and once a second otherwise,
+// fsyncs the log (under SyncInterval only: SyncAlways has synced every
+// append, and SyncNone never syncs) and compacts once the log depth
+// reaches CompactRecords; a second ticker compacts every
+// SnapshotInterval. Failures are counted in the log's errors and retried
+// on the next tick.
 func (m *Manager) Run(ctx context.Context) {
-	flushEvery := time.Duration(0)
+	every := time.Second
 	if m.opts.Fsync == SyncInterval {
-		flushEvery = DefaultFsyncInterval
+		every = DefaultFsyncInterval
 	}
-	// Depth-triggered compaction needs a heartbeat whenever no flush
-	// ticker runs: the SnapshotInterval ticker alone would let the log
-	// grow past CompactRecords until its next tick.
-	if flushEvery == 0 && m.opts.CompactRecords > 0 {
-		flushEvery = time.Second
-	}
-	var flushC, snapC <-chan time.Time
-	if flushEvery > 0 {
-		t := time.NewTicker(flushEvery)
-		defer t.Stop()
-		flushC = t.C
-	}
+	tick := time.NewTicker(every)
+	defer tick.Stop()
+	var snapC <-chan time.Time
 	if m.opts.SnapshotInterval > 0 {
 		t := time.NewTicker(m.opts.SnapshotInterval)
 		defer t.Stop()
@@ -310,27 +299,24 @@ func (m *Manager) Run(ctx context.Context) {
 		select {
 		case <-ctx.Done():
 			return
-		case <-flushC:
-			if err := m.log.sync(); err != nil {
-				m.log.recordError(err)
+		case <-tick.C:
+			if m.opts.Fsync == SyncInterval {
+				_ = m.log.sync() // counted in the log's errors
 			}
-			m.compactIfDeep()
+			if depth, _ := m.log.depth(); m.opts.CompactRecords > 0 && depth >= uint64(m.opts.CompactRecords) {
+				m.runCompact()
+			}
 		case <-snapC:
-			if err := m.Compact(); err != nil && !m.isClosed() {
-				m.log.recordError(err)
-			}
+			m.runCompact()
 		}
 	}
 }
 
-func (m *Manager) compactIfDeep() {
-	if m.opts.CompactRecords <= 0 {
-		return
-	}
-	if depth, _ := m.log.depth(); depth >= uint64(m.opts.CompactRecords) {
-		if err := m.Compact(); err != nil && !m.isClosed() {
-			m.log.recordError(err)
-		}
+// runCompact is Compact for Run: a failure is counted in the log's
+// errors, and the next tick retries.
+func (m *Manager) runCompact() {
+	if err := m.Compact(); err != nil && !m.isClosed() {
+		m.log.recordError(err)
 	}
 }
 
@@ -340,8 +326,8 @@ func (m *Manager) isClosed() bool {
 	return m.closed
 }
 
-// Sync flushes the active log segment — the explicit counterpart of the
-// SyncInterval ticker.
+// Sync writes any pending frames and fsyncs the active log segment — the
+// explicit counterpart of the SyncInterval ticker.
 func (m *Manager) Sync() error { return m.log.sync() }
 
 // Stats reports the durability layer's current state.

@@ -1,6 +1,7 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -49,28 +50,27 @@ func snapName(i int, epoch uint64) string {
 // writeManifest atomically replaces the manifest (writeFileAtomic): a
 // crash at any step leaves the old manifest (and its still-undeleted
 // files) fully intact.
-func writeManifest(dir string, m manifest) error {
+func writeManifest(fs fileSys, dir string, m manifest) error {
 	var p snapfmt.Writer
 	p.U64(m.Epoch)
 	p.U32(m.Shards)
 	p.U64(m.FirstSeq)
-	return writeFileAtomic(dir, manifestName, func(w io.Writer) error {
+	return writeFileAtomic(fs, dir, manifestName, func(w io.Writer) error {
 		return snapfmt.Encode(w, manifestMagic, manifestVersion, maxManifestPayload, p.Bytes())
 	})
 }
 
 // readManifest loads the manifest; ok is false when none exists yet
 // (a fresh data directory).
-func readManifest(dir string) (m manifest, ok bool, err error) {
-	f, err := os.Open(filepath.Join(dir, manifestName))
+func readManifest(fs fileSys, dir string) (m manifest, ok bool, err error) {
+	data, err := fs.readFile(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {
 		return manifest{}, false, nil
 	}
 	if err != nil {
 		return manifest{}, false, err
 	}
-	defer f.Close()
-	tr := snapfmt.TrackOffset(f)
+	tr := snapfmt.TrackOffset(bytes.NewReader(data))
 	payload, err := snapfmt.Decode(tr, manifestMagic, manifestVersion, maxManifestPayload, ErrBadManifest)
 	if err != nil {
 		return manifest{}, false, err

@@ -31,13 +31,11 @@ const recordHeaderSize = 8
 // record (one product or one category schema).
 const maxRecordLen = 1 << 28
 
-// frameRecord wraps a payload in the length+CRC record framing.
-func frameRecord(payload []byte) []byte {
-	buf := make([]byte, recordHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.ChecksumIEEE(payload))
-	copy(buf[recordHeaderSize:], payload)
-	return buf
+// appendFrame appends payload to dst in the length+CRC record framing.
+func appendFrame(dst, payload []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = binary.LittleEndian.AppendUint32(dst, crc32.ChecksumIEEE(payload))
+	return append(dst, payload...)
 }
 
 // encodeCategory builds the payload of a category-registration record.

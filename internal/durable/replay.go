@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
 
 	"prodsynth/internal/catalog"
@@ -26,11 +25,11 @@ type replayResult struct {
 // and replay stops there; everything else is an error, because silently
 // skipping mid-log records would replay a catalog different from the one
 // that was acknowledged.
-func replaySegments(store *catalog.Store, dir string, seqs []uint64) (replayResult, error) {
+func replaySegments(fs fileSys, store *catalog.Store, dir string, seqs []uint64) (replayResult, error) {
 	var res replayResult
 	for i, seq := range seqs {
 		last := i == len(seqs)-1
-		n, trunc, err := replaySegment(store, filepath.Join(dir, segName(seq)), last)
+		n, trunc, err := replaySegment(fs, store, filepath.Join(dir, segName(seq)), last)
 		if err != nil {
 			return res, fmt.Errorf("durable: segment %s: %w", segName(seq), err)
 		}
@@ -41,8 +40,8 @@ func replaySegments(store *catalog.Store, dir string, seqs []uint64) (replayResu
 	return res, nil
 }
 
-func replaySegment(store *catalog.Store, path string, last bool) (records int, truncated int64, err error) {
-	data, err := os.ReadFile(path)
+func replaySegment(fs fileSys, store *catalog.Store, path string, last bool) (records int, truncated int64, err error) {
+	data, err := fs.readFile(path)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -59,8 +58,10 @@ func replaySegment(store *catalog.Store, path string, last bool) (records int, t
 	if !framing || !tornTail(data, off) {
 		return n, 0, fmt.Errorf("at byte %d (not a torn tail): %w", off, perr)
 	}
-	// Torn tail: cut it off so the segment is clean for any later read.
-	if err := os.Truncate(path, off); err != nil {
+	// Torn tail: cut it off, durably, before a later segment exists, or a
+	// crash after that would leave the tear in a segment that is no
+	// longer the last.
+	if err := fs.truncate(path, off); err != nil {
 		return n, 0, err
 	}
 	return n, int64(len(data)) - off, nil

@@ -57,7 +57,7 @@ type fileSpill struct {
 
 // Spill implements cluster.SpillStore.
 func (s *fileSpill) Spill(sp cluster.Spilled) error {
-	buf := frameRecord(encodeSpilled(sp))
+	buf := appendFrame(nil, encodeSpilled(sp))
 	if _, err := s.f.WriteAt(buf, s.end); err != nil {
 		return err
 	}
