@@ -1,7 +1,8 @@
 // Command vetsynth is prodsynth's repo-specific static analyzer suite:
 // it machine-checks the invariants the codebase accumulated PR over PR —
-// injectable clocks, context-first entry points, I/O-free shard critical
-// sections, %w-wrapped sentinels, and join-guarded goroutines.
+// injectable clocks, context-first entry points, I/O-free catalog and
+// registry critical sections, %w-wrapped sentinels, and join-guarded
+// goroutines.
 //
 // Usage:
 //

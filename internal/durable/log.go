@@ -93,6 +93,9 @@ type walLog struct {
 // and rotations never append to an existing segment).
 func openLog(fs fileSys, dir string, seq uint64, opts Options) (*walLog, error) {
 	l := &walLog{dir: dir, fs: fs, opts: opts}
+	if opts.Fsync == SyncNone { // frames stay pending until a segment is sealed
+		l.pending = make([]byte, 0, opts.MaxSegmentBytes)
+	}
 	return l, l.openSegment(seq)
 }
 
@@ -113,7 +116,9 @@ func (l *walLog) openSegment(seq uint64) error {
 }
 
 // ObserveCategory implements catalog.Observer.
-func (l *walLog) ObserveCategory(c catalog.Category) { l.append(encodeCategory(c)) }
+func (l *walLog) ObserveCategory(c catalog.Category) {
+	l.append(encodeCategory(c))
+}
 
 // ObserveProduct implements catalog.Observer.
 func (l *walLog) ObserveProduct(version uint64, ownsKey bool, p catalog.Product) {

@@ -181,6 +181,8 @@ func (m *Manager) Store() *catalog.Store { return m.store }
 // Dir returns the data directory.
 func (m *Manager) Dir() string { return m.dir }
 
+var errClosed = errors.New("durable: manager closed")
+
 // Compact folds the log into a new snapshot epoch: rotate the log,
 // capture the store in one snapshot file (temp + rename, fsynced),
 // publish a manifest naming the new epoch, then delete the files the new
@@ -194,7 +196,7 @@ func (m *Manager) Compact() error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
-		return errors.New("durable: manager closed")
+		return errClosed
 	}
 	retainSeq, markRecords, markBytes, err := m.log.rotate()
 	if err != nil {
@@ -277,8 +279,8 @@ func (m *Manager) ImportSnapshot(snap catalog.Snapshot) error {
 
 // Run services the manager's timers until ctx is done. One ticker, at
 // DefaultFsyncInterval under SyncInterval and once a second otherwise,
-// fsyncs the log (under SyncInterval only: SyncAlways has synced every
-// append, and SyncNone never syncs) and compacts once the log depth
+// fsyncs the log under SyncInterval only (SyncAlways has synced every
+// append; SyncNone syncs on no timer) and compacts once the log depth
 // reaches CompactRecords; a second ticker compacts every
 // SnapshotInterval. Failures are counted in the log's errors and retried
 // on the next tick.
@@ -315,15 +317,9 @@ func (m *Manager) Run(ctx context.Context) {
 // runCompact is Compact for Run: a failure is counted in the log's
 // errors, and the next tick retries.
 func (m *Manager) runCompact() {
-	if err := m.Compact(); err != nil && !m.isClosed() {
+	if err := m.Compact(); err != nil && !errors.Is(err, errClosed) {
 		m.log.recordError(err)
 	}
-}
-
-func (m *Manager) isClosed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.closed
 }
 
 // Sync writes any pending frames and fsyncs the active log segment — the

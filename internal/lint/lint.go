@@ -1,6 +1,6 @@
 // Package lint is prodsynth's repo-specific static analyzer suite: the
 // codebase's invariants — injectable clocks, context-first entry points,
-// I/O-free shard critical sections, %w-wrapped sentinels, and
+// I/O-free catalog and registry critical sections, %w-wrapped sentinels, and
 // join-guarded goroutines — encoded as machine-checked analysis passes
 // instead of prose and CI greps.
 //

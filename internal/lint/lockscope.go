@@ -30,7 +30,7 @@ var lockScopePackages = map[string]bool{
 // flagged region enforces.
 var LockScope = &Analyzer{
 	Name: "lockscope",
-	Doc:  "no channel ops, I/O, fetcher calls, or user callbacks while a shard mutex is held",
+	Doc:  "no channel ops, I/O, fetcher calls, or user callbacks while the catalog or registry mutex is held",
 	Run:  runLockScope,
 }
 

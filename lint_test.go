@@ -8,7 +8,7 @@ import (
 
 // TestVetsynthSelfScan runs the full vetsynth analyzer suite over the
 // module: every invariant the suite encodes — injectable clocks,
-// context-first entry points, I/O-free shard critical sections,
+// context-first entry points, I/O-free catalog and registry critical sections,
 // %w-wrapped sentinels, join-guarded goroutines —
 // holds for the tree as committed. A finding here reproduces exactly what
 // `go run ./cmd/vetsynth ./...` would print in CI.
