@@ -285,6 +285,44 @@ func TestFailedFsyncMovesToFreshSegment(t *testing.T) {
 	recoverAll(t, fs, 2+16)
 }
 
+// A boot that commits nothing leaves no segment behind for every later
+// recovery to read: five idle boots of an empty directory leave one
+// segment file, as written and as a crash would leave it. After a boot
+// that commits, five idle ones leave its segment and one empty one, and
+// its records recover.
+func TestIdleBootsLeaveOneSegment(t *testing.T) {
+	fs := newMemFS()
+	boots := func(n, records int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			m, err := open(fs, crashDir, Options{})
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			for j := 0; j < records; j++ {
+				appendRecord(t, m.Store(), j)
+			}
+			if err := m.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+		}
+	}
+	segments := func(want int) {
+		t.Helper()
+		for _, disk := range []*memFS{fs, fs.image(false)} {
+			if seqs, err := listSegments(disk, crashDir); err != nil || len(seqs) != want {
+				t.Fatalf("segments %v (%v), want %d", seqs, err, want)
+			}
+		}
+	}
+	boots(5, 0)
+	segments(1)
+	boots(1, 12)
+	boots(5, 0)
+	segments(2)
+	recoverExactly(t, fs, 12)
+}
+
 // Under SyncInterval a crash keeps what the last Sync covered and loses
 // only later appends; a torn unsynced tail is cut off at reopen, and the
 // cut holds across the next crash.

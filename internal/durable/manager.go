@@ -94,6 +94,20 @@ func open(fs fileSys, dir string, opts Options) (*Manager, error) {
 	rec.TruncatedBytes = replay.truncated
 	rec.Segments = replay.segments
 
+	// Trailing segments that hold no record go first, so a boot that
+	// commits nothing leaves no file for every later recovery to read.
+	if k := replay.emptyTail; k > 0 {
+		for _, seq := range seqs[len(seqs)-k:] {
+			if err := fs.remove(filepath.Join(dir, segName(seq))); err != nil {
+				return nil, err
+			}
+		}
+		if err := fs.syncDir(dir); err != nil {
+			return nil, err
+		}
+		seqs = seqs[:len(seqs)-k]
+	}
+
 	// A boot always starts a fresh segment — never appends to one an
 	// earlier process wrote.
 	nextSeq := man.FirstSeq

@@ -14,6 +14,7 @@ type replayResult struct {
 	records   int
 	truncated int64
 	segments  int
+	emptyTail int // trailing segments that held no record
 }
 
 // replaySegments applies the listed segments, in sequence order, to the
@@ -36,6 +37,10 @@ func replaySegments(fs fileSys, store *catalog.Store, dir string, seqs []uint64)
 		res.records += n
 		res.truncated += trunc
 		res.segments++
+		res.emptyTail++
+		if n > 0 {
+			res.emptyTail = 0
+		}
 	}
 	return res, nil
 }

@@ -4,6 +4,9 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
+
+	"prodsynth/internal/catalog"
 )
 
 const specPage = `
@@ -200,6 +203,68 @@ func TestExtractRealisticNoisyPage(t *testing.T) {
 	}
 	if len(spec) != 3 {
 		t.Errorf("expected noisy pair kept for downstream filtering: %v", spec)
+	}
+}
+
+// TestExtractTraps pins WithOptions where an event-driven extractor can
+// drift from the tree walk it replaced: pair order across nested tables,
+// definition lists and bullets; which rows and cells count; and which text
+// a cell takes. Each page also goes through the reference oracle.
+func TestExtractTraps(t *testing.T) {
+	all := Options{IncludeDefinitionLists: true, IncludeBulletLists: true}
+	nested := `<table><tr><td>A</td><td><table><tr><td>B</td><td>2</td></tr></table></td></tr>` +
+		`<tr><td>C</td><td>3</td></tr></table>`
+	cases := []struct {
+		name string
+		page string
+		opts Options
+		want catalog.Spec
+	}{
+		{"rows after a nested table", nested, Options{},
+			catalog.Spec{{Name: "A", Value: "B 2"}, {Name: "C", Value: "3"}, {Name: "B", Value: "2"}}},
+		{"tr under a div in a cell",
+			`<table><tr><td>Outer</td><td><div><tr><td>Inner</td><td>x</td></tr></div></td></tr></table>`, Options{},
+			catalog.Spec{{Name: "Outer", Value: "Inner x"}}},
+		{"self-closing td is an empty cell",
+			`<table><tr><td/>Brand<td>Acme</tr><tr><td>Color<td/><td>Red</tr><tr><td>Size<td>L</tr></table>`, Options{},
+			catalog.Spec{{Name: "Size", Value: "L"}}},
+		{"script and style text in a cell",
+			`<table><tr><td>Brand<script>var x = "<td>";</script></td><td>Acme<style>.a{}</style> Inc</td></tr></table>`, Options{},
+			catalog.Spec{{Name: "Brand", Value: "Acme Inc"}}},
+		{"MaxPairs across slots",
+			`<ul><li>Zoom: 3x</li></ul><dl><dt>Weight<dd>2 kg</dl><dl><dt>A<dd>dup</dl>` + nested,
+			Options{IncludeDefinitionLists: true, IncludeBulletLists: true, MaxPairs: 4},
+			catalog.Spec{{Name: "A", Value: "B 2"}, {Name: "C", Value: "3"}, {Name: "B", Value: "2"}, {Name: "Weight", Value: "2 kg"}}},
+		{"nested lists keep open order",
+			`<dl><dt>Outer<dd><dl><dt>Inner<dd>1</dl></dl><ul><li>P: <ul><li>Q: 2</li></ul></li></ul>`, all,
+			catalog.Spec{{Name: "Outer", Value: "Inner 1"}, {Name: "Inner", Value: "1"}, {Name: "P", Value: "Q: 2"}, {Name: "Q", Value: "2"}}},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if msg := diffSpec(WithOptions(c.page, c.opts), c.want); msg != "" {
+				t.Error(msg)
+			}
+			checkAgainstReference(t, c.page)
+		})
+	}
+}
+
+// TestExtractDoesNotAliasPage: spec values outlive the page in the Model
+// and in stream memory, so no name or value may point into the page.
+func TestExtractDoesNotAliasPage(t *testing.T) {
+	pages := append(marketplacePages()[:20], specPage)
+	for _, page := range pages {
+		lo := uintptr(unsafe.Pointer(unsafe.StringData(page)))
+		hi := lo + uintptr(len(page))
+		for _, opts := range oracleOptions {
+			for _, av := range WithOptions(page, opts) {
+				for _, s := range []string{av.Name, av.Value} {
+					if p := uintptr(unsafe.Pointer(unsafe.StringData(s))); p >= lo && p < hi {
+						t.Fatalf("%q aliases the page", s)
+					}
+				}
+			}
+		}
 	}
 }
 

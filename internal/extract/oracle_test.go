@@ -20,15 +20,19 @@ var oracleOptions = []Options{
 	{IncludeDefinitionLists: true, IncludeBulletLists: true},
 }
 
-// checkAgainstReference runs FromDOM and the reference copy in
-// reference_test.go on the same tree under every oracle option set and
-// fails t on the first difference.
+// checkAgainstReference holds WithOptions on the page, and FromDOM on its
+// tree, to the reference copy in reference_test.go on the same tree under
+// every oracle option set, and fails t on the first difference.
 func checkAgainstReference(t *testing.T, page string) {
 	t.Helper()
 	root := htmlx.Parse(page)
 	for _, opts := range oracleOptions {
-		if msg := diffSpec(FromDOM(root, opts), refFromDOM(root, opts)); msg != "" {
-			t.Fatalf("options %+v: %s\npage %q", opts, msg, page)
+		want := refFromDOM(root, opts)
+		if msg := diffSpec(WithOptions(page, opts), want); msg != "" {
+			t.Fatalf("WithOptions, options %+v: %s\npage %q", opts, msg, page)
+		}
+		if msg := diffSpec(FromDOM(root, opts), want); msg != "" {
+			t.Fatalf("FromDOM, options %+v: %s\npage %q", opts, msg, page)
 		}
 	}
 }
@@ -45,9 +49,10 @@ func diffSpec(got, want catalog.Spec) string {
 	return ""
 }
 
-// FuzzExtract holds FromDOM to the reference copy on arbitrary pages. Its
-// seed pages are under testdata/fuzz/FuzzExtract, plus the ones added here:
-// a spec long enough to reach the seen map, and definition and bullet lists.
+// FuzzExtract holds WithOptions and FromDOM to the reference copy on
+// arbitrary pages. Its seed pages are under testdata/fuzz/FuzzExtract, plus
+// the ones added here: a spec long enough to reach the seen map, and
+// definition and bullet lists.
 func FuzzExtract(f *testing.F) {
 	var long strings.Builder
 	long.WriteString("<table>")
@@ -131,9 +136,10 @@ func TestExtractScriptCloserNonASCII(t *testing.T) {
 }
 
 // TestExtractAllocsPerPage is the allocation guard on one generated spec
-// page: parse plus extract. Before Parse streamed tokens into a slab this
-// page cost 210 allocations; it now costs 21, and the bound is that count
-// plus a quarter.
+// page. Before Parse streamed tokens into a slab this page cost 210
+// allocations, and 21 to parse and walk the slab tree. Extracted straight
+// from the token stream it costs 6, and the bound is that count plus a
+// quarter.
 func TestExtractAllocsPerPage(t *testing.T) {
 	var page string
 	for _, p := range marketplacePages() {
@@ -145,7 +151,7 @@ func TestExtractAllocsPerPage(t *testing.T) {
 	if len(FromHTML(page)) < 5 {
 		t.Fatalf("want a spec page with at least five pairs:\n%s", page)
 	}
-	const bound = 26
+	const bound = 7
 	if n := testing.AllocsPerRun(100, func() { FromHTML(page) }); n > bound {
 		t.Errorf("FromHTML allocates %.0f times per page, want <= %d", n, bound)
 	}

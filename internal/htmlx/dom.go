@@ -1,6 +1,7 @@
 package htmlx
 
 import (
+	"slices"
 	"strings"
 	"unicode/utf8"
 )
@@ -23,16 +24,6 @@ type Node struct {
 	Attrs    []Attr
 	Children []*Node
 	Parent   *Node
-}
-
-// Attr returns the value of the named attribute on an element node.
-func (n *Node) Attr(key string) (string, bool) {
-	for _, a := range n.Attrs {
-		if a.Key == key {
-			return a.Val, true
-		}
-	}
-	return "", false
 }
 
 // isVoid reports whether tag is an HTML void element, which never has
@@ -64,103 +55,97 @@ func autoCloses(tag, open string) bool {
 	return false
 }
 
-// Parse tokenizes the input and builds a DOM tree rooted at a synthetic
-// element with Tag "#root". It is tolerant: stray end tags are dropped,
-// unclosed elements are closed at EOF, and the auto-close rules above are
-// applied.
-//
-// Parse takes tokens from the lexer as they are produced and keeps no
-// token slice. Every node of the page lives in one slab, and every
-// Children list is cut from one backing array (see builder.finish).
-func Parse(input string) *Node {
-	// Each node but the root starts at a '<' or at the text after one, so
-	// the count of '<' is close to the node count and the slab rarely grows.
-	// The cap keeps a script or comment full of '<' from reserving a node
-	// for each; past it, the slab grows as it fills.
-	guess := min(strings.Count(input, "<")+1, maxSlabGuess)
-	b := builder{
-		nodes:  make([]Node, 1, guess),
-		parent: make([]int, 1, guess),
-		stack:  make([]int, 1, 32),
+// Handler receives a page's elements and text from Stream.
+type Handler interface {
+	// Open starts an element inside the innermost open one. The next tag
+	// reuses attrs, so Open must copy what it keeps.
+	Open(tag string, attrs []Attr)
+	// Close ends the innermost open element.
+	Close()
+	// Text is character data inside the innermost open element, entities
+	// decoded. It is never only whitespace.
+	Text(text string)
+}
+
+// Stream lexes input and reports to h, in document order, every element
+// and text node of the tree Parse builds, with no tree. It is tolerant, by
+// these rules over the stack of open elements:
+//   - an opening tag first closes the open elements it auto-closes;
+//   - a void or self-closing element opens and closes at once;
+//   - an end tag closes every element down to its innermost open match,
+//     and a stray end tag, with no open match, is dropped;
+//   - every element still open closes at EOF;
+//   - comments, and text that is only whitespace, are dropped.
+func Stream(input string, h Handler) {
+	var small [32]string // most pages nest less deeply
+	open := small[:0]    // the open elements' tags, innermost last
+	closeTo := func(n int) {
+		for len(open) > n {
+			open = open[:len(open)-1]
+			h.Close()
+		}
 	}
-	b.nodes[0] = Node{Type: ElementNode, Tag: "#root"}
-	lex(input, b.token)
-	return b.finish()
-}
-
-// maxSlabGuess caps the nodes Parse reserves before it has seen any.
-const maxSlabGuess = 4096
-
-// builder assembles the tree by index while the slab may still grow, and
-// turns indexes into pointers once it is complete.
-type builder struct {
-	nodes  []Node // the root first, then every node in creation order
-	parent []int  // parent[i] is the index of nodes[i]'s parent
-	stack  []int  // indexes of the open elements; stack[0] is the root
-}
-
-func (b *builder) add(n Node) int {
-	b.nodes = append(b.nodes, n)
-	b.parent = append(b.parent, b.stack[len(b.stack)-1])
-	return len(b.nodes) - 1
-}
-
-func (b *builder) token(tok Token) {
-	switch tok.Type {
-	case TextToken:
-		if strings.TrimSpace(tok.Data) == "" {
-			return
-		}
-		b.add(Node{Type: TextNode, Text: tok.Data})
-	case CommentToken:
-		// Dropped; comments carry no extraction signal.
-	case StartTagToken, SelfClosingToken:
-		for len(b.stack) > 1 && autoCloses(tok.Data, b.nodes[b.stack[len(b.stack)-1]].Tag) {
-			b.stack = b.stack[:len(b.stack)-1]
-		}
-		el := b.add(Node{Type: ElementNode, Tag: tok.Data, Attrs: tok.Attrs})
-		if tok.Type == StartTagToken && !isVoid(tok.Data) {
-			b.stack = append(b.stack, el)
-		}
-	case EndTagToken:
-		// Find the matching open element; if found, pop to it.
-		for j := len(b.stack) - 1; j >= 1; j-- {
-			if b.nodes[b.stack[j]].Tag == tok.Data {
-				b.stack = b.stack[:j]
-				break
+	lex(input, func(tok Token) {
+		switch tok.Type {
+		case TextToken:
+			if strings.TrimSpace(tok.Data) != "" {
+				h.Text(tok.Data)
+			}
+		case StartTagToken, SelfClosingToken:
+			for len(open) > 0 && autoCloses(tok.Data, open[len(open)-1]) {
+				closeTo(len(open) - 1)
+			}
+			h.Open(tok.Data, tok.Attrs)
+			if tok.Type == StartTagToken && !isVoid(tok.Data) {
+				open = append(open, tok.Data)
+			} else {
+				h.Close()
+			}
+		case EndTagToken:
+			for j := len(open) - 1; j >= 0; j-- {
+				if open[j] == tok.Data {
+					closeTo(j)
+					break
+				}
 			}
 		}
-	}
+	})
+	closeTo(0)
 }
 
-// finish sets every Parent pointer and cuts every Children list from one
-// backing array, in creation order, which is document order. Each list has
-// cap == len, so a caller's append copies instead of overwriting the next
-// node's children.
-func (b *builder) finish() *Node {
-	nodes := b.nodes
-	kids := make([]*Node, len(nodes)-1)
-	// Count each node's children in the length of its Children.
-	for _, p := range b.parent[1:] {
-		nodes[p].Children = kids[:len(nodes[p].Children)+1]
-	}
-	off := 0
-	for i := range nodes {
-		c := len(nodes[i].Children)
-		if c == 0 {
-			nodes[i].Children = nil
-			continue
-		}
-		nodes[i].Children = kids[off : off : off+c]
-		off += c
-	}
-	for i, p := range b.parent[1:] {
-		child := &nodes[i+1]
-		child.Parent = &nodes[p]
-		nodes[p].Children = append(nodes[p].Children, child)
-	}
-	return &nodes[0]
+// Parse builds the tree of the elements and text Stream reports for input,
+// rooted at a synthetic element with Tag "#root".
+func Parse(input string) *Node {
+	root := &Node{Type: ElementNode, Tag: "#root"}
+	b := builder{open: []*Node{root}}
+	Stream(input, &b)
+	b.Close()
+	return root
 }
+
+// builder is the Handler that assembles Parse's tree. It clips each
+// Children list to cap == len when its element closes, so appending to a
+// list always copies it.
+type builder struct{ open []*Node } // the open elements; open[0] is the root
+
+func (b *builder) add(n *Node) {
+	n.Parent = b.open[len(b.open)-1]
+	n.Parent.Children = append(n.Parent.Children, n)
+}
+
+func (b *builder) Open(tag string, attrs []Attr) {
+	n := &Node{Type: ElementNode, Tag: tag, Attrs: slices.Clone(attrs)}
+	b.add(n)
+	b.open = append(b.open, n)
+}
+
+func (b *builder) Close() {
+	n := b.open[len(b.open)-1]
+	n.Children = slices.Clip(n.Children)
+	b.open = b.open[:len(b.open)-1]
+}
+
+func (b *builder) Text(text string) { b.add(&Node{Type: TextNode, Text: text}) }
 
 // InnerText returns the concatenated text content of the subtree, with
 // runs of whitespace (U+00A0 included) collapsed to single spaces and the
@@ -175,7 +160,7 @@ func (n *Node) InnerText() string {
 // appendText appends the subtree's text to buf, whitespace collapsed.
 func (n *Node) appendText(buf []byte) []byte {
 	if n.Type == TextNode {
-		return appendCollapsed(buf, n.Text)
+		return AppendCollapsed(buf, n.Text)
 	}
 	if n.Tag == "script" || n.Tag == "style" {
 		return buf
@@ -186,11 +171,11 @@ func (n *Node) appendText(buf []byte) []byte {
 	return buf
 }
 
-// appendCollapsed appends s to buf with every run of whitespace, U+00A0
+// AppendCollapsed appends s to buf with every run of whitespace, U+00A0
 // included, as one space, and none at the start of buf. Text nodes are
 // separated by whitespace, so a space is pending before s. Invalid UTF-8
 // is written as U+FFFD.
-func appendCollapsed(buf []byte, s string) []byte {
+func AppendCollapsed(buf []byte, s string) []byte {
 	space := true
 	for i := 0; i < len(s); {
 		c := s[i]
@@ -241,17 +226,5 @@ func (n *Node) FindAll(tag string) []*Node {
 		}
 		return true
 	})
-	return out
-}
-
-// ChildElements returns the element children with the given tag (any tag if
-// tag is empty).
-func (n *Node) ChildElements(tag string) []*Node {
-	var out []*Node
-	for _, c := range n.Children {
-		if c.Type == ElementNode && (tag == "" || c.Tag == tag) {
-			out = append(out, c)
-		}
-	}
 	return out
 }

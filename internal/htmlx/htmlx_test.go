@@ -1,6 +1,7 @@
 package htmlx
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -220,8 +221,8 @@ func TestParseTree(t *testing.T) {
 		t.Errorf("texts = %q, %q", ps[0].InnerText(), ps[1].InnerText())
 	}
 	div := root.FindAll("div")[0]
-	if v, _ := div.Attr("id"); v != "main" {
-		t.Errorf("id = %q", v)
+	if want := []Attr{{Key: "id", Val: "main"}}; !slices.Equal(div.Attrs, want) {
+		t.Errorf("attrs = %q, want %q", div.Attrs, want)
 	}
 	if ps[0].Parent != div {
 		t.Error("parent pointer wrong")
@@ -239,12 +240,12 @@ func TestParseAutoCloseTableCells(t *testing.T) {
 		t.Fatalf("found %d rows", len(trs))
 	}
 	for i, tr := range trs {
-		tds := tr.ChildElements("td")
+		tds := tr.FindAll("td")
 		if len(tds) != 2 {
 			t.Errorf("row %d has %d cells: %q", i, len(tds), tr.InnerText())
 		}
 	}
-	if got := trs[1].ChildElements("td")[1].InnerText(); got != "500 GB" {
+	if got := trs[1].FindAll("td")[1].InnerText(); got != "500 GB" {
 		t.Errorf("cell = %q", got)
 	}
 }
@@ -319,8 +320,8 @@ func TestParseNeverPanics(t *testing.T) {
 func TestParseEntitiesInAttributesAndText(t *testing.T) {
 	root := Parse(`<td title="A &amp; B">3.5&quot; drive</td>`)
 	td := root.FindAll("td")[0]
-	if v, _ := td.Attr("title"); v != "A & B" {
-		t.Errorf("attr = %q", v)
+	if want := []Attr{{Key: "title", Val: "A & B"}}; !slices.Equal(td.Attrs, want) {
+		t.Errorf("attrs = %q, want %q", td.Attrs, want)
 	}
 	if got := td.InnerText(); got != `3.5" drive` {
 		t.Errorf("text = %q", got)

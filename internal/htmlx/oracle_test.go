@@ -128,12 +128,12 @@ func marketplacePages() []string {
 	return pages
 }
 
-// TestParseLargePageMatchesReference covers a page with more nodes than
-// Parse reserves up front, so the slab grows while the tree is built.
+// TestParseLargePageMatchesReference covers a 64 KiB page, fifty times
+// the size of a generated landing page.
 func TestParseLargePageMatchesReference(t *testing.T) {
 	var b strings.Builder
 	b.WriteString("<table>")
-	for i := 0; b.Len() < 16*maxSlabGuess; i++ {
+	for i := 0; b.Len() < 64<<10; i++ {
 		fmt.Fprintf(&b, "<tr><td>Name %d<td>Value %d", i, i)
 	}
 	b.WriteString("</table>")

@@ -1,23 +1,22 @@
-// Package htmlx is a small, dependency-free HTML tokenizer and DOM builder,
-// sufficient for the Web-page Attribute Extraction component of the paper
-// (§4): it parses merchant landing pages, builds an element tree, and lets
-// the extractor walk tables. It handles the messy HTML found in the wild —
+// Package htmlx is a small, dependency-free HTML tokenizer, event source
+// and DOM builder, sufficient for the Web-page Attribute Extraction
+// component of the paper (§4). It handles the messy HTML found in the wild —
 // unquoted attributes, unclosed tags (<li>, <td>, <tr>, <p>), void elements
 // (<br>, <img>), comments, script/style raw text, and character entities.
 //
 // It intentionally does not implement the full WHATWG parsing algorithm;
 // the subset implemented is documented per function and covered by tests.
 //
-// Parse runs once per landing page on every offer, so it is built to make
-// little garbage. The lexer streams tokens into the tree builder; no token
-// slice exists unless Tokenize is called. A page's nodes live in one slab,
-// every Children list is cut from one backing array, and the tags' Attrs
-// from a shared one; each cut has cap == len. Node text and attribute values
-// may share memory with the page, but InnerText always returns a fresh
-// string, so spec values kept after extraction never keep a page alive.
+// Stream runs once per landing page on every offer, so it builds no tree
+// and little garbage: it takes one token at a time from the lexer, whose
+// tags share one attribute buffer, and reports elements and text to a
+// Handler such as the extractor. Parse builds its tree as one more
+// Handler. Node text and attribute values may share memory with the page,
+// but InnerText always returns a fresh string.
 package htmlx
 
 import (
+	"slices"
 	"strings"
 	"unicode"
 )
@@ -55,18 +54,20 @@ type Attr struct {
 }
 
 // Tokenize lexes the whole document into tokens. It never fails: malformed
-// markup degrades to text, mirroring browser behaviour. Parse does not call
-// it: Parse takes the same tokens straight from the lexer, one at a time.
+// markup degrades to text, mirroring browser behaviour. Stream takes the
+// same tokens straight from the lexer, one at a time, and does not call it.
 func Tokenize(input string) []Token {
 	var toks []Token
-	lex(input, func(tok Token) { toks = append(toks, tok) })
+	lex(input, func(tok Token) {
+		tok.Attrs = slices.Clone(tok.Attrs)
+		toks = append(toks, tok)
+	})
 	return toks
 }
 
 // lex calls emit once per token of input, in document order, and builds no
-// token slice. Every tag's Attrs is cut, with cap == len, from a backing
-// array shared by the whole call, so appending to one tag's Attrs never
-// overwrites another's.
+// token slice. Every tag's Attrs is cut from one buffer that the next tag
+// reuses, so emit must copy any Attrs it keeps.
 func lex(input string, emit func(Token)) {
 	var attrs []Attr
 	text := func(raw string) {
@@ -124,7 +125,7 @@ func lex(input string, emit func(Token)) {
 			i += end + 1
 		case isNameStart(input[i+1]):
 			var tok Token
-			tok, i, attrs = lexStartTag(input, i, attrs)
+			tok, i, attrs = lexStartTag(input, i, attrs[:0])
 			emit(tok)
 			// script and style content is raw text until the matching
 			// close tag; never interpret tags inside it.
@@ -200,8 +201,9 @@ func isNameStart(c byte) bool {
 }
 
 // lexStartTag lexes a start tag beginning at input[start] == '<'. It
-// appends the tag's attributes to attrs and cuts tok.Attrs from it. Returns
-// the token, the index just past the closing '>', and the grown attrs.
+// appends the tag's attributes to the empty attrs, whose array it may
+// reuse, and sets tok.Attrs to them. Returns the token, the index just past
+// the closing '>', and the grown attrs.
 func lexStartTag(input string, start int, attrs []Attr) (Token, int, []Attr) {
 	i := start + 1
 	n := len(input)
@@ -210,7 +212,6 @@ func lexStartTag(input string, start int, attrs []Attr) (Token, int, []Attr) {
 		i++
 	}
 	tok := Token{Type: StartTagToken, Data: strings.ToLower(input[nameStart:i])}
-	first := len(attrs)
 	next := n
 scan:
 	for i < n {
@@ -277,8 +278,8 @@ scan:
 			attrs = append(attrs, Attr{Key: key, Val: UnescapeEntities(val)})
 		}
 	}
-	if len(attrs) > first {
-		tok.Attrs = attrs[first:len(attrs):len(attrs)]
+	if len(attrs) > 0 {
+		tok.Attrs = attrs
 	}
 	return tok, next, attrs
 }

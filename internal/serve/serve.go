@@ -19,8 +19,9 @@
 //     run concurrently; excess load is shed immediately with 429 and a
 //     Retry-After header instead of queueing without bound.
 //   - Deadlines: every synthesis request runs under a context with the
-//     server's RequestTimeout (a request may tighten, never extend, it),
-//     so a stuck fetch cannot pin a slot forever.
+//     server's RequestTimeout, counted from admission (a request may
+//     tighten, never extend, it), so neither a stuck fetch nor a client
+//     that stalls mid-body can pin a slot forever; an unread body gets 408.
 //   - Hot reload: /v1/reload runs the Options.Reload callback in the
 //     background and System.Use-swaps the result while traffic keeps
 //     serving the old model; in-flight requests are pinned to the
@@ -62,6 +63,7 @@ import (
 	"math"
 	"net"
 	"net/http"
+	"os"
 	"runtime/debug"
 	"sync/atomic"
 	"time"
@@ -90,9 +92,9 @@ type Options struct {
 	// endpoints share the cap); excess requests are shed with 429.
 	// Default 64.
 	MaxInFlight int
-	// RequestTimeout bounds each synthesis request's context. A request
-	// may ask for less via timeout_ms, never more. Default 30s; negative
-	// disables the server-side deadline.
+	// RequestTimeout bounds each synthesis request, body read included,
+	// from admission. A request may ask for less via timeout_ms, never
+	// more. Default 30s; negative disables the server-side deadline.
 	RequestTimeout time.Duration
 	// DrainTimeout bounds the graceful drain: when Run's context is
 	// cancelled the listener closes and in-flight requests get up to this
@@ -257,7 +259,10 @@ func (s *Server) instrument(endpoint string, h http.HandlerFunc) http.HandlerFun
 	}
 }
 
-// admitted wraps a synthesis handler with the admission controller.
+// admitted wraps a synthesis handler with the admission controller. The
+// request's deadline starts at admission and bounds the body read too, so
+// a client that stalls mid-body holds its slot no longer than
+// RequestTimeout: its read fails, and it is answered 408.
 func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if !s.adm.tryAcquire() {
@@ -267,8 +272,24 @@ func (s *Server) admitted(h http.HandlerFunc) http.HandlerFunc {
 			return
 		}
 		defer s.adm.release()
+		if s.opts.RequestTimeout > 0 {
+			deadline := time.Now().Add(s.opts.RequestTimeout)
+			ctx, cancel := context.WithDeadline(r.Context(), deadline)
+			defer cancel()
+			r = r.WithContext(ctx)
+			// A writer with no connection under it has no read to bound.
+			_ = http.NewResponseController(w).SetReadDeadline(deadline)
+		}
 		h(w, r)
 	}
+}
+
+// bodyRead lifts the read deadline admitted set, once the body is read.
+// net/http goes on reading the connection to see the client leave, and
+// that read failing at the deadline would cancel the request as if the
+// client had gone; the request's context bounds the rest.
+func bodyRead(w http.ResponseWriter) {
+	_ = http.NewResponseController(w).SetReadDeadline(time.Time{})
 }
 
 // statusWriter records the status code written and whether anything was
@@ -289,6 +310,9 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	w.wrote = true
 	return w.ResponseWriter.Write(b)
 }
+
+// Unwrap lets http.ResponseController reach the connection.
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
 
 func (w *statusWriter) Flush() {
 	if f, ok := w.ResponseWriter.(http.Flusher); ok {
@@ -324,20 +348,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.reg.WriteTo(w) //nolint:errcheck // a dropped scrape is the scraper's problem
 }
 
-// requestCtx derives the synthesis context: the server's timeout, tightened
-// by the request's timeout_ms when that is smaller. A timeout_ms too large
-// for a time.Duration tightens nothing; it must not wrap to a short one.
-func (s *Server) requestCtx(r *http.Request, timeoutMillis int64) (context.Context, context.CancelFunc) {
-	timeout := s.opts.RequestTimeout
+// requestCtx derives the synthesis context from the request's, which
+// admitted bounded by the server's timeout, tightened by the request's
+// timeout_ms. A timeout_ms too large for a time.Duration tightens nothing;
+// it must not wrap to a short one.
+func requestCtx(r *http.Request, timeoutMillis int64) (context.Context, context.CancelFunc) {
 	if timeoutMillis > 0 && timeoutMillis <= math.MaxInt64/int64(time.Millisecond) {
-		if reqTO := time.Duration(timeoutMillis) * time.Millisecond; timeout <= 0 || reqTO < timeout {
-			timeout = reqTO
-		}
+		return context.WithTimeout(r.Context(), time.Duration(timeoutMillis)*time.Millisecond)
 	}
-	if timeout <= 0 {
-		return context.WithCancel(r.Context())
-	}
-	return context.WithTimeout(r.Context(), timeout)
+	return context.WithCancel(r.Context())
 }
 
 // observeResult folds a synthesis result into the fetch/throughput
@@ -443,16 +462,19 @@ type failedRead struct{ err error }
 func (f failedRead) Read([]byte) (int, error) { return 0, f.err }
 
 // decodeJSON decodes one JSON value from body into into with encoding/json,
-// unknown fields refused, answering 400 for a malformed body and 413 for
-// one over maxRequestBody.
+// unknown fields refused, answering 400 for a malformed body, 413 for one
+// over maxRequestBody and 408 for one still unread at the read deadline.
 func decodeJSON(w http.ResponseWriter, body io.Reader, into any) bool {
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		code := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
+		switch {
+		case errors.As(err, &tooBig):
 			code = http.StatusRequestEntityTooLarge
+		case errors.Is(err, os.ErrDeadlineExceeded):
+			code = http.StatusRequestTimeout
 		}
 		writeError(w, code, "decode request: "+err.Error())
 		return false
@@ -465,12 +487,13 @@ func (s *Server) handleSynthesize(w http.ResponseWriter, r *http.Request) {
 	if !decodeSynthesize(w, r, &req) {
 		return
 	}
+	bodyRead(w)
 	fetcher, err := s.fetcher(req.Pages)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMillis)
+	ctx, cancel := requestCtx(r, req.TimeoutMillis)
 	defer cancel()
 
 	res, err := s.sys.SynthesizeContext(ctx, OffersFromWire(req.Offers), fetcher)
@@ -504,12 +527,13 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, http.MaxBytesReader(w, r.Body, maxRequestBody), &req) {
 		return
 	}
+	bodyRead(w)
 	fetcher, err := s.fetcher(req.Pages)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	ctx, cancel := s.requestCtx(r, req.TimeoutMillis)
+	ctx, cancel := requestCtx(r, req.TimeoutMillis)
 	defer cancel()
 
 	waves := make(chan []prodsynth.Offer)

@@ -1,6 +1,7 @@
 package serve_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -433,6 +434,48 @@ func TestAdmissionShedding(t *testing.T) {
 	resp, body = post(t, ts.Client(), ts.URL+"/v1/synthesize", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("post-release request: status = %d, body %s", resp.StatusCode, body)
+	}
+}
+
+// TestStalledBodyFreesSlot: a client that sends 11 of the 100 000 body
+// bytes it promised and stalls holds its admission slot only until
+// RequestTimeout, which runs from admission: its body read fails, it is
+// answered 408, and the next request is admitted.
+func TestStalledBodyFreesSlot(t *testing.T) {
+	ds, sys := learnedSystem(t)
+	ts := httptest.NewServer(serve.New(sys, serve.Options{
+		MaxInFlight:    1,
+		RequestTimeout: 200 * time.Millisecond,
+	}))
+	defer ts.Close()
+
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	head := "POST /v1/synthesize HTTP/1.1\r\nHost: synthd\r\nContent-Type: application/json\r\nContent-Length: 100000\r\n\r\n"
+	if _, err := io.WriteString(conn, head+`{"offers":[`); err != nil {
+		t.Fatal(err)
+	}
+	for start := time.Now(); !strings.Contains(scrapeMetrics(t, ts), "synthd_inflight_requests 1"); {
+		if time.Since(start) > 5*time.Second {
+			t.Fatal("the stalled request was never admitted")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	conn.SetReadDeadline(time.Now().Add(3 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("the stalled request got no answer: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestTimeout {
+		t.Fatalf("stalled request: status = %d, want 408", resp.StatusCode)
+	}
+	if resp, body := post(t, ts.Client(), ts.URL+"/v1/synthesize", synthesizeRequest(ds)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("request after the stall: status = %d, want 200; body %s", resp.StatusCode, body)
 	}
 }
 
