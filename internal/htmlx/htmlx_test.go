@@ -240,14 +240,26 @@ func TestParseAutoCloseTableCells(t *testing.T) {
 		t.Fatalf("found %d rows", len(trs))
 	}
 	for i, tr := range trs {
-		tds := tr.FindAll("td")
+		tds := childElements(tr, "td")
 		if len(tds) != 2 {
 			t.Errorf("row %d has %d cells: %q", i, len(tds), tr.InnerText())
 		}
 	}
-	if got := trs[1].FindAll("td")[1].InnerText(); got != "500 GB" {
+	if got := childElements(trs[1], "td")[1].InnerText(); got != "500 GB" {
 		t.Errorf("cell = %q", got)
 	}
+}
+
+// childElements returns n's direct element children with the given tag, so
+// a cell left nested inside its predecessor does not count as a row cell.
+func childElements(n *Node, tag string) []*Node {
+	var out []*Node
+	for _, c := range n.Children {
+		if c.Type == ElementNode && c.Tag == tag {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 func TestParseAutoCloseListItems(t *testing.T) {
